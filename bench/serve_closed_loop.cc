@@ -338,11 +338,15 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Cache check: exactly one parse per distinct (query, workers) pair.
+  // Cache check: exactly one parse per distinct (query, workers) pair, one
+  // advisor scan per parse (feedback folds never re-scan), and at most one
+  // variable-order optimization per entry.
   const PlanCache::Stats cache = server.plan_cache().stats();
   const bool cache_ok = cache.parses == workloads.size() &&
                         cache.hits + cache.misses >=
-                            static_cast<uint64_t>(c.queries);
+                            static_cast<uint64_t>(c.queries) &&
+                        cache.blind_advisories == cache.parses &&
+                        cache.order_optimizations <= cache.parses;
 
   const QueryServer::Stats stats = server.stats();
   Histogram latency_hist;
@@ -497,7 +501,10 @@ int main(int argc, char** argv) {
       << static_cast<double>(latency_hist.max()) * 1e-3 << "},\n";
   out << "  \"plan_cache\": {\"parses\": " << cache.parses
       << ", \"hits\": " << cache.hits << ", \"misses\": " << cache.misses
-      << ", \"refreshes\": " << cache.refreshes << "},\n";
+      << ", \"refreshes\": " << cache.refreshes
+      << ", \"blind_advisories\": " << cache.blind_advisories
+      << ", \"order_optimizations\": " << cache.order_optimizations
+      << "},\n";
   out << "  \"scheduler\": {\"small_dispatched\": " << stats.small_dispatched
       << ", \"large_dispatched\": " << stats.large_dispatched
       << ", \"admission_stalls\": " << stats.admission_stalls << "},\n";
@@ -548,7 +555,9 @@ int main(int argc, char** argv) {
     std::cerr << "FAIL: plan cache parsed " << cache.parses
               << " times for " << workloads.size()
               << " distinct queries (hits " << cache.hits << ", misses "
-              << cache.misses << ")\n";
+              << cache.misses << ", advisor scans " << cache.blind_advisories
+              << ", order optimizations " << cache.order_optimizations
+              << ")\n";
     return 1;
   }
   if (!prom_valid) return 1;

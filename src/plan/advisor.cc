@@ -144,22 +144,24 @@ int JoinIndexFromLabel(const std::string& label) {
 
 }  // namespace
 
-StrategyAdvice AdviseStrategy(const NormalizedQuery& query, int num_workers,
-                              const QueryFeedback* feedback) {
-  StrategyAdvice advice;
+BlindEstimates BlindAdvice(const NormalizedQuery& query, int num_workers) {
+  BlindEstimates blind;
+  StrategyAdvice& advice = blind.advice;
   const double w = static_cast<double>(num_workers);
 
-  double total_input = 0;
   double largest = 0;
   for (const NormalizedAtom& atom : query.atoms) {
     const double card = static_cast<double>(atom.relation.NumTuples());
-    total_input += card;
+    blind.total_input += card;
     largest = std::max(largest, card);
   }
+  const double total_input = blind.total_input;
 
   // Regular shuffle: inputs plus every estimated intermediate is reshuffled.
-  const std::vector<int> order = GreedyLeftDeepOrder(query);
-  const std::vector<double> sizes = EstimateLeftDeepSizes(query, order);
+  blind.order = GreedyLeftDeepOrder(query);
+  blind.sizes = EstimateLeftDeepSizes(query, blind.order);
+  const std::vector<int>& order = blind.order;
+  const std::vector<double>& sizes = blind.sizes;
   advice.est_rs_tuples = total_input;
   for (size_t i = 1; i + 1 < sizes.size(); ++i) {
     advice.est_rs_tuples += sizes[i];
@@ -194,8 +196,8 @@ StrategyAdvice AdviseStrategy(const NormalizedQuery& query, int num_workers,
   }
 
   // Probe-side reduction a sideways-passing bloom filter would buy on the
-  // first regular-shuffle round (refined from measured selectivity below
-  // when feedback from a bloom-enabled run exists).
+  // first regular-shuffle round (refined from measured selectivity by
+  // ApplyFeedback when feedback from a bloom-enabled run exists).
   advice.est_bloom_reduction = EstimateBloomReduction(query, order);
 
   // Heavy-hitter skew proxy on the first binary join's shared columns.
@@ -216,6 +218,13 @@ StrategyAdvice AdviseStrategy(const NormalizedQuery& query, int num_workers,
               avg_load);
     }
   }
+  return blind;
+}
+
+StrategyAdvice ApplyFeedback(const BlindEstimates& blind,
+                             const QueryFeedback* feedback) {
+  StrategyAdvice advice = blind.advice;
+  const double total_input = blind.total_input;
 
   // Replace the guesses with measurements where the feedback has them.
   // Substituted values have q-error 1 by construction, so the blind-vs-
@@ -338,9 +347,15 @@ StrategyAdvice AdviseStrategy(const NormalizedQuery& query, int num_workers,
   return advice;
 }
 
+StrategyAdvice AdviseStrategy(const NormalizedQuery& query, int num_workers,
+                              const QueryFeedback* feedback) {
+  return ApplyFeedback(BlindAdvice(query, num_workers), feedback);
+}
+
 StrategyFeedback CollectStrategyFeedback(const NormalizedQuery& query,
                                          const std::string& strategy_name,
-                                         const StrategyResult& result) {
+                                         const StrategyResult& result,
+                                         const BlindEstimates* blind) {
   StrategyFeedback sf;
   sf.strategy = strategy_name;
   sf.failed = result.metrics.failed;
@@ -352,10 +367,14 @@ StrategyFeedback CollectStrategyFeedback(const NormalizedQuery& query,
   // executed, so every recorded stage can be audited against the estimate
   // the optimizer would have relied on at the same point.
   std::vector<int> order = result.join_order_used;
-  if (order.size() != query.atoms.size()) order = GreedyLeftDeepOrder(query);
+  if (order.size() != query.atoms.size()) {
+    order = blind != nullptr ? blind->order : GreedyLeftDeepOrder(query);
+  }
   std::vector<double> sizes;
   if (order.size() == query.atoms.size()) {
-    sizes = EstimateLeftDeepSizes(query, order);
+    sizes = blind != nullptr && order == blind->order
+                ? blind->sizes
+                : EstimateLeftDeepSizes(query, order);
   }
 
   for (const StageMetrics& stage : result.metrics.stages) {

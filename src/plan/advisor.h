@@ -2,6 +2,7 @@
 #define PTP_PLAN_ADVISOR_H_
 
 #include <string>
+#include <vector>
 
 #include "obs/feedback.h"
 #include "plan/strategies.h"
@@ -52,6 +53,30 @@ struct StrategyAdvice {
   std::string rationale;
 };
 
+/// Everything the advisor derives from the data alone — the result of every
+/// relation scan it makes. Depends only on (query, cluster size), so a
+/// prepared plan computes it once and re-applies feedback to it as often as
+/// measurements arrive (ApplyFeedback), without touching the relations.
+struct BlindEstimates {
+  /// The blind estimates (est_* fields and hc_config). The decision fields
+  /// (shuffle, join, use_bloom, rationale) are left at their defaults;
+  /// ApplyFeedback fills them.
+  StrategyAdvice advice;
+  /// Sum of the input cardinalities (the Table 6 thresholds scale by it).
+  double total_input = 0;
+  /// Greedy left-deep join order and the estimated size after each prefix
+  /// of it (EstimateLeftDeepSizes) — the plan the regular shuffle runs when
+  /// no explicit order is given.
+  std::vector<int> order;
+  std::vector<double> sizes;
+};
+
+/// The relation scans behind a strategy recommendation: the greedy
+/// left-deep order and its size estimates, the exact first-join size, the
+/// Algorithm-1 share configuration, the bloom-filter reduction, and the
+/// heavy-hitter skew proxy.
+BlindEstimates BlindAdvice(const NormalizedQuery& query, int num_workers);
+
 /// Implements the decision logic the paper's Table 6 summary distills:
 ///  * small intermediates + low skew  -> regular shuffle (TJ when the
 ///    per-round sorted data stays below the inputs, else HJ);
@@ -60,7 +85,7 @@ struct StrategyAdvice {
 ///    broadcast otherwise (the Q4 regime: high-dimensional cubes);
 ///  * HyperCube degenerates to broadcast-the-small-relation automatically
 ///    via its share configuration (the Q7 regime), so "HC" covers it.
-/// Pure estimation — nothing is executed.
+/// Pure arithmetic over `blind` — no relation is read.
 ///
 /// When `feedback` (a prior measured run of the same query at the same
 /// cluster size, loaded from a feedback store) is supplied, measured values
@@ -68,16 +93,25 @@ struct StrategyAdvice {
 /// tuples_shuffled, the max intermediate from recorded stage outputs, and
 /// the measured consumer skew of the regular-shuffle exchanges. A family
 /// whose every recorded run failed is never picked.
+StrategyAdvice ApplyFeedback(const BlindEstimates& blind,
+                             const QueryFeedback* feedback = nullptr);
+
+/// ApplyFeedback(BlindAdvice(query, num_workers), feedback). Pure
+/// estimation — nothing is executed.
 StrategyAdvice AdviseStrategy(const NormalizedQuery& query, int num_workers,
                               const QueryFeedback* feedback = nullptr);
 
 /// Distills one executed strategy into the estimate-vs-actual record the
 /// feedback store keeps: one stage op per booked stage (non-final joins
 /// carry the planner's left-deep estimate at the same point), one exchange
-/// op per shuffle with measured volume and consumer skew.
+/// op per shuffle with measured volume and consumer skew. When `blind` (the
+/// query's BlindAdvice) is given and the run executed its left-deep order,
+/// the recorded sizes are reused instead of re-estimated; the record is the
+/// same either way.
 StrategyFeedback CollectStrategyFeedback(const NormalizedQuery& query,
                                          const std::string& strategy_name,
-                                         const StrategyResult& result);
+                                         const StrategyResult& result,
+                                         const BlindEstimates* blind = nullptr);
 
 }  // namespace ptp
 

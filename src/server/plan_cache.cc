@@ -1,11 +1,17 @@
 #include "server/plan_cache.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "query/normalize_text.h"
 #include "query/parser.h"
+#include "tj/order_optimizer.h"
 
 namespace ptp {
+
+PreparedPlan::PreparedPlan(NormalizedQuery normalized, int workers)
+    : normalized_(std::move(normalized)),
+      blind_(BlindAdvice(normalized_, workers)) {}
 
 uint64_t EstimatePeakBytes(const NormalizedQuery& query,
                            const StrategyAdvice& advice) {
@@ -75,17 +81,18 @@ Result<PlanCache::Entry> PlanCache::Prepare(std::string_view text,
   PTP_RETURN_IF_ERROR(e.query.Validate(*catalog));
   PTP_ASSIGN_OR_RETURN(NormalizedQuery normalized,
                        Normalize(e.query, *catalog));
-  e.normalized =
-      std::make_shared<const NormalizedQuery>(std::move(normalized));
+  e.prepared =
+      std::make_shared<const PreparedPlan>(std::move(normalized), workers);
+  ++stats_.blind_advisories;
   const QueryFeedback* qf =
       feedback != nullptr ? feedback->Find(key, workers) : nullptr;
-  e.advice = AdviseStrategy(*e.normalized, workers, qf);
-  e.est_peak_bytes = EstimatePeakBytes(*e.normalized, e.advice);
+  e.advice = ApplyFeedback(e.prepared->blind(), qf);
+  e.est_peak_bytes = EstimatePeakBytes(e.prepared->normalized(), e.advice);
   ++stats_.parses;
   entries_.push_back(e);
   while (entries_.size() > max_entries_) {
     // Front is least recently used. The evicted query costs one re-parse
-    // (and re-advise) when it comes back — never wrong results.
+    // (and re-plan) when it comes back — never wrong results.
     entries_.erase(entries_.begin());
     ++stats_.evictions;
   }
@@ -129,9 +136,20 @@ bool PlanCache::Lookup(std::string_view key, int workers,
   return false;
 }
 
+const std::vector<std::string>& PlanCache::VarOrder(
+    const PreparedPlan& plan) {
+  std::call_once(plan.var_order_once_, [&] {
+    plan.var_order_ = OptimizeVariableOrder(plan.normalized_).order;
+    ++order_optimizations_;
+  });
+  return plan.var_order_;
+}
+
 PlanCache::Stats PlanCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  Stats s = stats_;
+  s.order_optimizations = order_optimizations_.load();
+  return s;
 }
 
 size_t PlanCache::size() const {

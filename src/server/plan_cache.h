@@ -1,6 +1,7 @@
 #ifndef PTP_SERVER_PLAN_CACHE_H_
 #define PTP_SERVER_PLAN_CACHE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -15,28 +16,62 @@
 
 namespace ptp {
 
-/// Prepared-plan cache of the serving layer: parse + normalize + advise
-/// once per distinct (normalized query text, cluster size), execute many.
+/// The feedback-independent half of a prepared plan: the normalized query
+/// and every planning decision that depends on its data alone. Shared by
+/// all executions of a cache entry (and by in-flight executions of an
+/// evicted one) and immutable once built — except the Tributary-join
+/// variable order, which PlanCache::VarOrder optimizes on first use, at
+/// most once, because only broadcast/HyperCube Tributary runs need it.
+class PreparedPlan {
+ public:
+  /// Runs the advisor's relation scans (BlindAdvice) for `workers`.
+  PreparedPlan(NormalizedQuery normalized, int workers);
+
+  PreparedPlan(const PreparedPlan&) = delete;
+  PreparedPlan& operator=(const PreparedPlan&) = delete;
+
+  const NormalizedQuery& normalized() const { return normalized_; }
+  /// Blind estimates plus the greedy left-deep order and its sizes.
+  const BlindEstimates& blind() const { return blind_; }
+
+ private:
+  friend class PlanCache;  // fills the variable order (PlanCache::VarOrder)
+
+  const NormalizedQuery normalized_;
+  const BlindEstimates blind_;
+  mutable std::once_flag var_order_once_;
+  mutable std::vector<std::string> var_order_;
+};
+
+/// Prepared-plan cache of the serving layer: parse + normalize + plan once
+/// per distinct (normalized query text, cluster size), execute many.
 ///
 /// The key is (NormalizeQueryText(text), workers, catalog), so
 /// whitespace/case/atom-order respellings of a query share one entry. The
 /// catalog is part of the key because preparation binds relation data into
 /// the normalized plan: reusing an entry across catalogs would execute the
-/// wrong data and misclassify the query's appetite. A hit returns the
-/// cached parse and advice without touching the parser or the advisor —
-/// stats() makes that observable (tests assert parses stays at the number
-/// of distinct queries while hits grow).
+/// wrong data and misclassify the query's appetite.
 ///
-/// Entries fold execution feedback back in via Refresh(): the advisor
-/// re-runs over the measured QueryFeedback, so the second execution of a
-/// hot query runs the strategy its first execution proved out, and the
-/// admission controller sees the measured peak instead of the estimate.
-/// Entries are bounded by an LRU cap (`max_entries`, default generous):
-/// every hit/refresh moves its entry to most-recently-used, and an insert
-/// past the cap evicts the least recently used entry — ad-hoc query text
-/// can no longer grow the cache without bound. An evicted query is simply
-/// re-parsed (and re-advised) on its next submission; stats().evictions
-/// makes the churn observable.
+/// An entry holds the parse, one shared PreparedPlan (normalization, the
+/// advisor's blind estimates with the greedy join order, and the lazily
+/// optimized Tributary-join variable order) and the current advice. A hit
+/// returns all of it without touching the parser, the normalizer, or any
+/// relation: no advisor scan, and no order optimization once the entry's
+/// first Tributary run computed one. stats() makes that observable (tests
+/// assert parses, blind_advisories and order_optimizations stay at the
+/// number of distinct queries while hits grow).
+///
+/// Entries fold execution feedback back in via Refresh(): the caller
+/// applies the measured QueryFeedback to the entry's blind estimates
+/// (ApplyFeedback — arithmetic only, no relation scan), so the second
+/// execution of a hot query runs the strategy its first execution proved
+/// out, and the admission controller sees the measured peak instead of the
+/// estimate. Entries are bounded by an LRU cap (`max_entries`, default
+/// generous): every hit/refresh moves its entry to most-recently-used, and
+/// an insert past the cap evicts the least recently used entry — ad-hoc
+/// query text can no longer grow the cache without bound. An evicted query
+/// is simply re-prepared on its next submission; stats().evictions makes
+/// the churn observable.
 class PlanCache {
  public:
   static constexpr size_t kDefaultMaxEntries = 1024;
@@ -52,8 +87,10 @@ class PlanCache {
     const Catalog* catalog = nullptr;
     ConjunctiveQuery query;
     /// Shared, immutable after preparation: concurrent executions of the
-    /// same entry read one materialized normalization.
-    std::shared_ptr<const NormalizedQuery> normalized;
+    /// same entry read one normalization, one set of blind estimates and
+    /// one variable order.
+    std::shared_ptr<const PreparedPlan> prepared;
+    /// ApplyFeedback(prepared->blind(), the latest measured feedback).
     StrategyAdvice advice;
     /// Admission-control peak estimate: the advisor's byte guess until a
     /// run measured the real peak (then `measured` flips).
@@ -71,6 +108,12 @@ class PlanCache {
     /// Parser + normalizer + advisor invocations (== misses that prepared
     /// successfully; the hit path never parses).
     uint64_t parses = 0;
+    /// Advisor relation scans (BlindAdvice), one per prepared entry:
+    /// neither a hit nor a feedback refresh re-scans the data.
+    uint64_t blind_advisories = 0;
+    /// Tributary-join variable-order optimizations, at most one per
+    /// prepared entry (its first broadcast/HyperCube Tributary dispatch).
+    uint64_t order_optimizations = 0;
     /// Feedback-driven advice refreshes.
     uint64_t refreshes = 0;
     /// Entries dropped by the LRU cap (each costs a re-parse on return).
@@ -79,8 +122,9 @@ class PlanCache {
 
   /// The entry for (text, workers), preparing it on miss: parse against
   /// `catalog` (its dictionary interns new string literals), validate,
-  /// normalize, advise (consulting `feedback` when non-null). Returns a
-  /// copy of the entry (the normalization is shared, not copied).
+  /// normalize, scan for the blind estimates, and apply `feedback` when
+  /// non-null. Returns a copy of the entry (the PreparedPlan is shared, not
+  /// copied).
   /// Serialized internally — concurrent submitters race on neither the
   /// cache nor the catalog dictionary. `*was_hit` (optional) reports
   /// whether the entry came from the cache.
@@ -89,7 +133,8 @@ class PlanCache {
                         bool* was_hit = nullptr);
 
   /// Folds a measured run into the entry for (key, workers, catalog): new
-  /// advice, measured peak bytes, measured runtime, execution count.
+  /// advice (ApplyFeedback over the entry's blind estimates), measured
+  /// peak bytes, measured runtime, execution count.
   /// Zero-valued measurements leave the previous value alone (a FAILed run
   /// teaches the advisor but not the admission controller). Missing entries
   /// are ignored (the cache never resurrects evicted state).
@@ -100,6 +145,12 @@ class PlanCache {
   /// Snapshot of the entry for (key, workers, catalog); false when absent.
   bool Lookup(std::string_view key, int workers, const Catalog* catalog,
               Entry* out) const;
+
+  /// `plan`'s Sec. 5 cost-model variable order (OptimizeVariableOrder).
+  /// The first call computes it on the caller's thread, outside the cache
+  /// lock, and counts it in stats().order_optimizations; concurrent first
+  /// callers wait for that result instead of recomputing it.
+  const std::vector<std::string>& VarOrder(const PreparedPlan& plan);
 
   Stats stats() const;
   size_t size() const;
@@ -113,6 +164,8 @@ class PlanCache {
   const size_t max_entries_;
   std::vector<Entry> entries_;
   Stats stats_;
+  /// Kept outside stats_: VarOrder runs without mu_.
+  std::atomic<uint64_t> order_optimizations_{0};
 };
 
 /// Deterministic byte estimate of a strategy run's peak residency, derived

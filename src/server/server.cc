@@ -615,6 +615,19 @@ QueryResponse QueryServer::Execute(PendingQuery* p, bool* suspended) {
       // verbatim so ablations and solo-comparison runs stay reproducible.
       p->opts.bloom = true;
     }
+    // The entry's planning decisions override only what RunStrategy would
+    // derive itself from the same query — the greedy join order and the
+    // Sec. 5 variable order — so a served run stays bit-identical to a
+    // solo run while each optimizer runs once per prepared plan instead of
+    // once per execution. Orders set in the request win.
+    const PreparedPlan& prepared = *p->plan.prepared;
+    if (p->opts.join_order.empty()) {
+      p->opts.join_order = prepared.blind().order;
+    }
+    if (p->opts.var_order.empty() && p->join == JoinKind::kTributary &&
+        p->shuffle != ShuffleKind::kRegular) {
+      p->opts.var_order = cache_.VarOrder(prepared);
+    }
     if (p->opts.recovery.watchdog_straggle_factor == 0) {
       p->opts.recovery.watchdog_straggle_factor =
           options_.watchdog_straggle_factor;
@@ -664,10 +677,10 @@ QueryResponse QueryServer::Execute(PendingQuery* p, bool* suspended) {
 
   Timer exec_timer;
   Result<StrategyResult> result =
-      resuming ? ResumeStrategy(*p->plan.normalized, p->shuffle, p->join,
-                                p->opts, *p->checkpoint)
-               : RunStrategy(*p->plan.normalized, p->shuffle, p->join,
-                             p->opts);
+      resuming ? ResumeStrategy(p->plan.prepared->normalized(), p->shuffle,
+                                p->join, p->opts, *p->checkpoint)
+               : RunStrategy(p->plan.prepared->normalized(), p->shuffle,
+                             p->join, p->opts);
   p->exec_seconds += exec_timer.Seconds();
   r.exec_seconds = p->exec_seconds;
   uninstall();
@@ -716,12 +729,15 @@ QueryResponse QueryServer::Execute(PendingQuery* p, bool* suspended) {
   if (options_.collect_feedback && !lifecycle_stop) {
     // Fold the measured run into the feedback store and re-advise the
     // cached plan: the next execution of this query starts from what this
-    // one measured (strategy upgrade + measured peak for admission).
+    // one measured (strategy upgrade + measured peak for admission). Both
+    // steps reuse the entry's blind estimates, so nothing under
+    // feedback_mu_ — which every submit also takes — scans a relation.
+    const PreparedPlan& prepared = *p->plan.prepared;
+    StrategyFeedback sf = CollectStrategyFeedback(
+        prepared.normalized(), r.strategy, sr, &prepared.blind());
     std::lock_guard<std::mutex> fb_lock(feedback_mu_);
     QueryFeedback* qf =
         feedback_.FindOrAdd(p->plan.key, p->request.workers);
-    StrategyFeedback sf =
-        CollectStrategyFeedback(*p->plan.normalized, r.strategy, sr);
     bool replaced = false;
     for (StrategyFeedback& s : qf->strategies) {
       if (s.strategy == sf.strategy) {
@@ -731,8 +747,7 @@ QueryResponse QueryServer::Execute(PendingQuery* p, bool* suspended) {
       }
     }
     if (!replaced) qf->strategies.push_back(std::move(sf));
-    const StrategyAdvice advice =
-        AdviseStrategy(*p->plan.normalized, p->request.workers, qf);
+    const StrategyAdvice advice = ApplyFeedback(prepared.blind(), qf);
     cache_.Refresh(p->plan.key, p->request.workers, p->request.catalog,
                    advice,
                    sr.metrics.failed
@@ -890,6 +905,15 @@ std::string QueryServer::RenderMetricsProm() const {
   WritePromScalarFamily(os, "ptp_plan_cache_evictions_total",
                         "Entries dropped by the LRU cap.", "counter",
                         {{PromLabels{}, static_cast<double>(cs.evictions)}});
+  WritePromScalarFamily(
+      os, "ptp_plan_cache_blind_advisories_total",
+      "Advisor relation scans, one per prepared entry.", "counter",
+      {{PromLabels{}, static_cast<double>(cs.blind_advisories)}});
+  WritePromScalarFamily(
+      os, "ptp_plan_cache_order_optimizations_total",
+      "Tributary variable-order optimizations, at most one per entry.",
+      "counter",
+      {{PromLabels{}, static_cast<double>(cs.order_optimizations)}});
   return os.str();
 }
 
@@ -915,11 +939,14 @@ std::string QueryServer::RenderMetricsJson() const {
       static_cast<unsigned long long>(s.admission_stalls));
   os << StrFormat(
       ",\"plan_cache\":{\"hits\":%llu,\"misses\":%llu,\"parses\":%llu,"
-      "\"evictions\":%llu}}",
+      "\"evictions\":%llu,\"blind_advisories\":%llu,"
+      "\"order_optimizations\":%llu}}",
       static_cast<unsigned long long>(cs.hits),
       static_cast<unsigned long long>(cs.misses),
       static_cast<unsigned long long>(cs.parses),
-      static_cast<unsigned long long>(cs.evictions));
+      static_cast<unsigned long long>(cs.evictions),
+      static_cast<unsigned long long>(cs.blind_advisories),
+      static_cast<unsigned long long>(cs.order_optimizations));
   return os.str();
 }
 

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/logging.h"
+#include "runtime/thread_pool.h"
 #include "storage/stats.h"
 
 namespace ptp {
@@ -15,12 +16,20 @@ TJCostModel::TJCostModel(std::vector<const Relation*> inputs)
 double TJCostModel::PrefixDistinct(size_t input, const std::vector<int>& perm,
                                    size_t len) {
   PTP_DCHECK(len >= 1 && len <= perm.size());
-  auto key = std::make_tuple(input, perm, len);
+  // The number of distinct prefixes depends only on which columns the
+  // prefix holds — not on their order, nor on the columns after it — so
+  // every order sharing a column set shares one count.
+  std::vector<int> cols(perm.begin(), perm.begin() + static_cast<long>(len));
+  std::sort(cols.begin(), cols.end());
+  auto key = std::make_pair(input, cols);
   auto it = memo_.find(key);
   if (it != memo_.end()) return it->second;
-  // Materialize the first `len` permuted columns and count distinct rows.
-  std::vector<int> prefix_perm(perm.begin(), perm.begin() + static_cast<long>(len));
-  Relation prefix = inputs_[input]->PermuteColumns(prefix_perm, "prefix");
+  // Statistics are planning work, not query execution: count with every
+  // per-query sink detached, so a run whose order came from a plan cache
+  // publishes the same counters and memory account as one that ran the
+  // optimizer.
+  runtime::ScopedContext detached{runtime::ContextSnapshot{}};
+  Relation prefix = inputs_[input]->PermuteColumns(cols, "prefix");
   const double count = static_cast<double>(
       CountDistinctPrefixes(prefix, prefix.arity()));
   memo_.emplace(std::move(key), count);

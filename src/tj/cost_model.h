@@ -3,6 +3,7 @@
 
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "storage/relation.h"
@@ -23,9 +24,10 @@ namespace ptp {
 /// The total cost (estimated number of binary searches) follows the
 /// recursion of Eq. (4):   Cost_i = S_i + S_i * Cost_{i+1}.
 ///
-/// Prefix-distinct statistics are computed lazily per (atom, column
-/// permutation) and memoized, so evaluating all n! orders of a query touches
-/// each atom-local permutation only once.
+/// Prefix-distinct statistics are computed lazily per (atom, set of prefix
+/// columns) and memoized: V(R, p) does not depend on the order of p's
+/// columns, so evaluating all n! orders of a query counts each atom-local
+/// column subset only once.
 class TJCostModel {
  public:
   /// `inputs` must outlive the model; schemas carry variable names.
@@ -44,8 +46,8 @@ class TJCostModel {
                         size_t len);
 
   std::vector<const Relation*> inputs_;
-  /// Memo: (input, perm, len) -> distinct count.
-  std::map<std::tuple<size_t, std::vector<int>, size_t>, double> memo_;
+  /// Memo: (input, ascending prefix columns) -> distinct count.
+  std::map<std::pair<size_t, std::vector<int>>, double> memo_;
 };
 
 /// Folds step sizes into the Eq. (4) cost.

@@ -1,6 +1,14 @@
 #include "tj/cost_model.h"
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <map>
+#include <utility>
+
+#include "data/workloads.h"
 #include "gtest/gtest.h"
+#include "storage/stats.h"
 #include "test_util.h"
 #include "tj/order_optimizer.h"
 #include "tj/tributary_join.h"
@@ -65,6 +73,84 @@ TEST(CostModelTest, MemoizationGivesIdenticalRepeatedEstimates) {
   const double a = model.EstimateCost({"x", "y", "z"});
   const double b = model.EstimateCost({"x", "y", "z"});
   EXPECT_DOUBLE_EQ(a, b);
+}
+
+// The per-step estimates exactly as the cost model computed them when its
+// memo was keyed by (input, column permutation, prefix length): V(R, p) of
+// each permuted prefix, counted on the permuted columns.
+std::vector<double> PermutationKeyedStepSizes(
+    const std::vector<const Relation*>& inputs,
+    const std::vector<std::string>& var_order,
+    std::map<std::pair<size_t, std::vector<int>>, double>* memo) {
+  std::vector<double> steps(var_order.size(),
+                            std::numeric_limits<double>::infinity());
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    const Schema& schema = inputs[i]->schema();
+    std::vector<std::pair<int, int>> step_and_col;
+    for (size_t col = 0; col < schema.arity(); ++col) {
+      const auto it =
+          std::find(var_order.begin(), var_order.end(), schema.name(col));
+      step_and_col.emplace_back(static_cast<int>(it - var_order.begin()),
+                                static_cast<int>(col));
+    }
+    std::sort(step_and_col.begin(), step_and_col.end());
+    std::vector<int> perm;
+    for (const auto& sc : step_and_col) perm.push_back(sc.second);
+    auto distinct = [&](size_t len) {
+      std::vector<int> prefix(perm.begin(), perm.begin() + len);
+      auto [it, fresh] = memo->try_emplace({i, prefix}, 0.0);
+      if (fresh) {
+        it->second = static_cast<double>(CountDistinctPrefixes(
+            inputs[i]->PermuteColumns(prefix, "prefix"), len));
+      }
+      return it->second;
+    };
+    for (size_t level = 0; level < perm.size(); ++level) {
+      const size_t step = static_cast<size_t>(step_and_col[level].first);
+      const double here = distinct(level + 1);
+      const double estimate =
+          level == 0 ? here : here / std::max(1.0, distinct(level));
+      steps[step] = std::min(steps[step], estimate);
+    }
+  }
+  for (double& s : steps) {
+    if (!std::isfinite(s)) s = 0;
+  }
+  return steps;
+}
+
+TEST(CostModelTest, ColumnSetMemoIsBitIdenticalOnPaperQueries) {
+  // The memo keys prefix-distinct counts by column *set*; every order of
+  // every paper query must still get exactly the estimates the
+  // permutation-keyed memo produced.
+  WorkloadScale scale;
+  scale.twitter.num_nodes = 300;
+  scale.twitter.num_edges = 1500;
+  scale.twitter.zipf_exponent = 0.7;
+  scale.freebase_scale = 0.05;
+  scale.seed = 9;
+  WorkloadFactory factory(scale);
+  for (int q = 1; q <= 8; ++q) {
+    auto wl = factory.Make(q);
+    ASSERT_TRUE(wl.ok()) << q;
+    std::vector<const Relation*> inputs;
+    for (const NormalizedAtom& atom : wl->normalized.atoms) {
+      inputs.push_back(&atom.relation);
+    }
+    TJCostModel model(inputs);
+    std::map<std::pair<size_t, std::vector<int>>, double> memo;
+    const std::vector<OrderChoice> orders =
+        EnumerateOrders(wl->normalized, std::numeric_limits<size_t>::max());
+    ASSERT_FALSE(orders.empty());
+    for (const OrderChoice& choice : orders) {
+      const std::vector<double> expected =
+          PermutationKeyedStepSizes(inputs, choice.order, &memo);
+      ASSERT_EQ(model.StepSizes(choice.order), expected) << wl->id;
+      ASSERT_EQ(model.EstimateCost(choice.order), FoldStepCost(expected))
+          << wl->id;
+      ASSERT_EQ(choice.estimated_cost, FoldStepCost(expected)) << wl->id;
+    }
+  }
 }
 
 TEST(OrderOptimizerTest, CoversAllVariables) {

@@ -89,6 +89,11 @@ TEST(ServerTest, PlanCacheHitSkipsParseAndOptimize) {
   EXPECT_EQ(stats.parses, 1u);
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, 2u);
+  // Neither the hits nor the three feedback folds re-scanned the data, and
+  // the variable order (if the advised plan needed one) was optimized once.
+  EXPECT_EQ(stats.refreshes, 3u);
+  EXPECT_EQ(stats.blind_advisories, 1u);
+  EXPECT_LE(stats.order_optimizations, 1u);
   EXPECT_EQ(server.plan_cache().size(), 1u);
 }
 
@@ -120,7 +125,8 @@ struct SoloRun {
 SoloRun RunSolo(Catalog* catalog, const std::string& text,
                 const std::string& strategy, int workers,
                 const std::string& faults = "", bool bloom = false,
-                double watchdog_straggle_factor = 0) {
+                double watchdog_straggle_factor = 0,
+                const std::vector<std::string>& var_order = {}) {
   auto parsed = ParseDatalog(text, &catalog->dictionary());
   PTP_CHECK(parsed.ok());
   auto nq = Normalize(*parsed, *catalog);
@@ -137,6 +143,7 @@ SoloRun RunSolo(Catalog* catalog, const std::string& text,
   opts.num_workers = workers;
   opts.bloom = bloom;
   opts.recovery.watchdog_straggle_factor = watchdog_straggle_factor;
+  opts.var_order = var_order;
   // Replaying a served run bit-for-bit means replaying its fault schedule
   // under a private injector, exactly as the server does.
   std::unique_ptr<FaultInjector> injector;
@@ -162,6 +169,78 @@ SoloRun RunSolo(Catalog* catalog, const std::string& text,
   solo.counters = counters.CounterSnapshot();
   solo.output = std::move(result->output);
   return solo;
+}
+
+QueryRequest ForcedRequest(Catalog* catalog, const std::string& text,
+                           ShuffleKind shuffle, JoinKind join, int workers) {
+  QueryRequest req = MakeRequest(catalog, text, workers);
+  req.force_strategy = true;
+  req.shuffle = shuffle;
+  req.join = join;
+  return req;
+}
+
+TEST(ServerTest, EntryPlansOnceAndServesRunsBitIdenticalToSolo) {
+  // Relations past the radix-sort threshold: the cost model's statistics
+  // sort them, and a solo run (which optimizes its own variable order)
+  // must publish exactly what a served run reusing the entry's order does.
+  auto catalog = MakeCatalog(53, 6000, 4000);
+  ServerOptions so;
+  so.executors = 2;  // concurrent first dispatches share one optimization
+  QueryServer server(so);
+  auto* session = server.OpenSession();
+  constexpr size_t kRuns = 5;
+  std::vector<QueryHandle> handles;
+  for (size_t i = 0; i < kRuns; ++i) {
+    handles.push_back(session->Submit(
+        ForcedRequest(catalog.get(), kTriangle, ShuffleKind::kHypercube,
+                      JoinKind::kTributary, 4)));
+  }
+  server.Drain();
+
+  const PlanCache::Stats stats = server.plan_cache().stats();
+  EXPECT_EQ(stats.parses, 1u);
+  EXPECT_EQ(stats.blind_advisories, 1u);
+  EXPECT_EQ(stats.order_optimizations, 1u);
+  EXPECT_EQ(stats.refreshes, kRuns);
+
+  const SoloRun solo = RunSolo(catalog.get(), kTriangle, "HC_TJ", 4);
+  for (const QueryHandle& h : handles) {
+    const QueryResponse& r = h.Get();
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_EQ(r.strategy, "HC_TJ");
+    EXPECT_TRUE(r.output.EqualsUnordered(solo.output)) << r.id;
+    EXPECT_EQ(r.metrics.output_tuples, solo.metrics.output_tuples) << r.id;
+    EXPECT_EQ(r.metrics.TuplesShuffled(), solo.metrics.TuplesShuffled())
+        << r.id;
+    EXPECT_EQ(r.metrics.peak_bytes, solo.metrics.peak_bytes) << r.id;
+    EXPECT_EQ(r.metrics.charged_bytes, solo.metrics.charged_bytes) << r.id;
+    EXPECT_EQ(r.counters, solo.counters) << r.id;
+  }
+}
+
+TEST(ServerTest, RequestOrdersOverrideTheEntry) {
+  // Explicit orders in request.exec win over the entry's: the variable
+  // order optimizer never runs, and the run uses the requested order.
+  auto catalog = MakeCatalog(59, 120, 12);
+  ServerOptions so;
+  so.executors = 1;
+  QueryServer server(so);
+  auto* session = server.OpenSession();
+  QueryRequest req = ForcedRequest(catalog.get(), kTriangle,
+                                   ShuffleKind::kBroadcast,
+                                   JoinKind::kTributary, 4);
+  req.exec.var_order = {"z", "x", "y"};
+  QueryHandle pinned = session->Submit(req);
+  server.Drain();
+  ASSERT_TRUE(pinned.Get().status.ok()) << pinned.Get().status.ToString();
+  EXPECT_EQ(server.plan_cache().stats().order_optimizations, 0u);
+  // Per-variable seek counters depend on the order: the served run matches
+  // a solo run pinned to the same order.
+  const SoloRun solo = RunSolo(catalog.get(), kTriangle, "BR_TJ", 4, "",
+                               false, 0, req.exec.var_order);
+  EXPECT_TRUE(pinned.Get().output.EqualsUnordered(solo.output));
+  EXPECT_EQ(pinned.Get().counters, solo.counters);
 }
 
 TEST(ServerTest, ConcurrentQueriesBitIdenticalToSoloRuns) {

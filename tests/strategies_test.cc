@@ -303,11 +303,29 @@ TEST(StrategiesTest, MetricsArePopulated) {
       RunStrategy(q, ShuffleKind::kHypercube, JoinKind::kTributary, opts);
   ASSERT_TRUE(result.ok());
   const QueryMetrics& m = result->metrics;
+  EXPECT_FALSE(m.failed);
   EXPECT_EQ(m.shuffles.size(), 3u);  // one HCS per atom
+  for (const ShuffleMetrics& s : m.shuffles) EXPECT_GT(s.tuples_sent, 0u);
   EXPECT_GT(m.TuplesShuffled(), 0u);
+  // One booked barrier: the local Tributary join, clean on the first
+  // attempt, producing exactly the gathered output (HC emits every
+  // triangle on one worker, and the head keeps every variable).
+  ASSERT_EQ(m.stages.size(), 1u);
+  const StageMetrics& stage = m.stages[0];
+  EXPECT_EQ(stage.label, "local TJ");
+  EXPECT_FALSE(stage.failed);
+  EXPECT_FALSE(stage.degraded);
+  EXPECT_EQ(stage.retries, 0u);
+  EXPECT_EQ(stage.output_tuples, result->output.NumTuples());
+  EXPECT_TRUE(m.degradations.empty());
+  EXPECT_EQ(m.backoff_seconds, 0.0);
+  // The query wall clock is the sum of the booked shuffles and barriers.
   EXPECT_GT(m.wall_seconds, 0.0);
-  EXPECT_GE(m.TotalCpuSeconds(), m.wall_seconds * 0.99);
+  EXPECT_GE(m.wall_seconds, stage.wall_seconds);
+  // Every logical worker has a time account of each kind.
   EXPECT_EQ(m.worker_seconds.size(), 8u);
+  EXPECT_EQ(m.worker_sort_seconds.size(), 8u);
+  EXPECT_EQ(m.worker_join_seconds.size(), 8u);
   EXPECT_EQ(m.output_tuples, result->output.NumTuples());
 }
 
