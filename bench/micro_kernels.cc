@@ -1,15 +1,16 @@
-// Seed-vs-new kernel microbenchmark: measures the three flat join kernels
-// (JoinHashTable build/probe, MSB-radix fragment sort, galloping trie seek)
-// against faithful copies of the seed implementations they replaced
-// (std::unordered_map<uint64_t, std::vector<uint32_t>> build/probe, direct
-// std::sort, plain binary-search seek), on the Q1 (Twitter triangle) and Q4
-// (Freebase) workload relations.
+// Seed-vs-new kernel microbenchmark: measures the flat join kernels
+// (JoinHashTable build/probe, MSB-radix fragment sort, galloping trie seek,
+// galloping trie block end) against faithful copies of the seed
+// implementations they replaced (std::unordered_map<uint64_t,
+// std::vector<uint32_t>> build/probe, direct std::sort, plain binary-search
+// seek, full-range multi-column prefix upper bound), on the Q1 (Twitter
+// triangle) and Q4 (Freebase) workload relations.
 //
 // Times are per-thread CPU seconds (CLOCK_THREAD_CPUTIME_ID) with the
-// runtime pinned to one thread: the container is single-core, and the point
-// is the algorithmic win (allocations, comparisons, locality), not
-// parallelism. Writes BENCH_kernels.json; every kernel pair is checked for
-// identical results before its timing is trusted.
+// runtime pinned to one thread: the point is the algorithmic win
+// (allocations, comparisons, locality), not parallelism. Writes
+// BENCH_kernels.json (with the host's core count as "nproc"); every kernel
+// pair is checked for identical results before its timing is trusted.
 //
 // Not a google-benchmark binary: it has its own main (hence the CMake
 // special case) so it can emit the JSON report the CI smoke step asserts on.
@@ -24,6 +25,7 @@
 #include <map>
 #include <random>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -34,6 +36,7 @@
 #include "obs/counters.h"
 #include "runtime/parallel.h"
 #include "storage/sort.h"
+#include "tj/trie_iterator.h"
 
 namespace ptp {
 namespace {
@@ -234,6 +237,41 @@ uint64_t GallopSeekSweep(const std::vector<Value>& sorted,
   return digest;
 }
 
+// Visits every key block of every trie level of the lexicographically sorted
+// rows in `data`, as a full trie walk does, finding each block's end with
+// `block_end(pos, hi, depth)`; returns a digest of the block ends.
+template <typename BlockEnd>
+uint64_t WalkKeyBlocks(const std::vector<Value>& data, size_t arity,
+                       BlockEnd&& block_end) {
+  uint64_t digest = 0;
+  auto walk = [&](auto&& self, size_t lo, size_t hi, size_t depth) -> void {
+    for (size_t pos = lo; pos < hi;) {
+      const size_t end = block_end(pos, hi, depth);
+      digest += Mix64(end);
+      if (depth + 1 < arity) self(self, pos, end, depth + 1);
+      pos = end;
+    }
+  };
+  walk(walk, 0, data.size() / arity, 0);
+  return digest;
+}
+
+// The seed block end: binary search over the whole remaining range [pos, hi)
+// comparing the (depth + 1)-column prefix.
+uint64_t SeedBlockEndWalk(const std::vector<Value>& data, size_t arity) {
+  return WalkKeyBlocks(data, arity, [&](size_t pos, size_t hi, size_t depth) {
+    return UpperBoundRows(data, arity, pos, hi, data.data() + pos * arity,
+                          depth + 1);
+  });
+}
+
+// The galloping block end TrieIterator runs: one column, from pos.
+uint64_t GallopBlockEndWalk(const std::vector<Value>& data, size_t arity) {
+  return WalkKeyBlocks(data, arity, [&](size_t pos, size_t hi, size_t depth) {
+    return KeyBlockEnd(data.data() + depth, arity, pos, hi);
+  });
+}
+
 struct KernelRow {
   std::string name;
   std::string workload;
@@ -422,6 +460,20 @@ int main(int argc, char** argv) {
         << id << ": galloping seek lands on different positions";
     rows.push_back({"trie_seek_sweep", id, seed_seek, gallop_seek});
     counters["tj.gallop_steps"] += gallop_steps;
+
+    // --- trie block end (galloping one-column run vs prefix upper bound) ---
+    // Every key block of every level of the sorted fragment, as one full
+    // trie walk visits them.
+    uint64_t seed_blocks = 0, gallop_blocks = 0;
+    const double seed_block_end = TimeMin(reps, [&] {
+      seed_blocks = SeedBlockEndWalk(radix_sorted, frag.arity());
+    });
+    const double gallop_block_end = TimeMin(reps, [&] {
+      gallop_blocks = GallopBlockEndWalk(radix_sorted, frag.arity());
+    });
+    PTP_CHECK(seed_blocks == gallop_blocks)
+        << id << ": galloping block end finds different key blocks";
+    rows.push_back({"trie_block_end", id, seed_block_end, gallop_block_end});
   }
 
   std::ofstream out(json_path);
@@ -429,7 +481,8 @@ int main(int argc, char** argv) {
   out << "{\n  \"config\": {\"twitter_nodes\": " << twitter_nodes
       << ", \"twitter_edges\": " << twitter_edges
       << ", \"freebase_scale\": " << freebase_scale << ", \"reps\": " << reps
-      << ", \"clock\": \"CLOCK_THREAD_CPUTIME_ID\"},\n  \"kernels\": [\n";
+      << ", \"clock\": \"CLOCK_THREAD_CPUTIME_ID\", \"nproc\": "
+      << std::thread::hardware_concurrency() << "},\n  \"kernels\": [\n";
   for (size_t i = 0; i < rows.size(); ++i) {
     const KernelRow& r = rows[i];
     const double speedup =

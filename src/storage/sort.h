@@ -25,7 +25,8 @@ void SortRowsLex(std::vector<Value>* data, size_t arity);
 
 /// Number of rows in the half-open row range [lo, hi) of `data` whose first
 /// `prefix_len` columns are strictly less than `key` (lexicographically).
-/// This is the binary-search primitive behind TrieIterator::Seek.
+/// (TrieIterator searches one column instead — the rows it searches share
+/// the prefix above it; see KeyBlockEnd in tj/trie_iterator.h.)
 size_t LowerBoundRows(const std::vector<Value>& data, size_t arity, size_t lo,
                       size_t hi, const Value* key, size_t prefix_len);
 

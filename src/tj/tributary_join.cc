@@ -1,6 +1,8 @@
 #include "tj/tributary_join.h"
 
 #include <algorithm>
+#include <memory>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/str_util.h"
@@ -27,80 +29,113 @@ struct ResolvedPredicate {
   int ready_depth;
 };
 
+// Trie-operation totals across a join's cursors.
+struct TrieOpCounts {
+  size_t seeks = 0;
+  size_t nexts = 0;
+  size_t opens = 0;
+  size_t ups = 0;
+  size_t gallop_steps = 0;
+};
+
+// The backend-independent face of the join driver; Prepare picks the
+// concrete Joiner<Cursor> once per join, so only these per-join calls are
+// virtual.
+class JoinDriver {
+ public:
+  JoinDriver() = default;
+  JoinDriver(const JoinDriver&) = delete;
+  JoinDriver& operator=(const JoinDriver&) = delete;
+  virtual ~JoinDriver() = default;
+  virtual Status Run(Relation* out) = 0;
+  /// Count-only run: no materialization; returns the result cardinality.
+  virtual Result<size_t> RunCount() = 0;
+  virtual TrieOpCounts Counts() const = 0;
+  /// Per-variable leapfrog stats: lf_stats()[d] covers the intersections
+  /// that bound var_order[d].
+  virtual const std::vector<LeapfrogStats>& lf_stats() const = 0;
+};
+
 // The recursive join driver (paper Sec. 2.2: find a value for the current
-// variable via leapfrog intersection, then recurse into the residual query).
-class Joiner {
+// variable via leapfrog intersection, then recurse into the residual query),
+// instantiated per concrete `final` cursor type so the per-key cursor and
+// leapfrog calls bind statically.
+template <typename Cursor>
+class Joiner final : public JoinDriver {
  public:
   // Takes ownership of the trie storage (sorted relations or B+-trees) and
   // the cursors over it.
   Joiner(std::vector<Relation> sorted_inputs,
          std::vector<std::unique_ptr<BPlusTree>> trees,
-         std::vector<std::unique_ptr<TrieCursor>> cursors,
+         std::vector<std::unique_ptr<Cursor>> cursors,
          std::vector<std::vector<int>> iters_per_depth,
-         std::vector<ResolvedPredicate> preds, size_t num_vars,
+         const std::vector<ResolvedPredicate>& preds, size_t num_vars,
          const TJOptions& options)
       : inputs_(std::move(sorted_inputs)),
         trees_(std::move(trees)),
         iters_(std::move(cursors)),
         iters_per_depth_(std::move(iters_per_depth)),
-        preds_(std::move(preds)),
+        preds_per_depth_(num_vars),
         num_vars_(num_vars),
         options_(options) {
     binding_.resize(num_vars_);
     lf_stats_.resize(num_vars_);
+    // A key bound at depth d checks only the predicates that become
+    // evaluable there, in their original order.
+    for (const ResolvedPredicate& p : preds) {
+      if (static_cast<size_t>(p.ready_depth) < num_vars_) {
+        preds_per_depth_[static_cast<size_t>(p.ready_depth)].push_back(p);
+      }
+    }
+    // One cursor vector per depth, sized once and lent to that depth's
+    // leapfrog at every node of the search tree.
+    open_per_depth_.resize(num_vars_);
+    for (size_t d = 0; d < num_vars_; ++d) {
+      open_per_depth_[d].reserve(iters_per_depth_[d].size());
+    }
   }
 
-  Status Run(Relation* out) {
+  Status Run(Relation* out) override {
     out_ = out;
     PTP_RETURN_IF_ERROR(Recurse(0));
     return Status::OK();
   }
 
-  /// Count-only run: no materialization; returns the result cardinality.
-  Result<size_t> RunCount() {
+  Result<size_t> RunCount() override {
     out_ = nullptr;
     PTP_RETURN_IF_ERROR(Recurse(0));
     return count_;
   }
 
-  size_t TotalSeeks() const {
+  TrieOpCounts Counts() const override {
+    TrieOpCounts counts;
+    for (const auto& it : iters_) {
+      counts.seeks += it->num_seeks();
+      counts.nexts += it->num_nexts();
+      counts.opens += it->num_opens();
+      counts.ups += it->num_ups();
+      counts.gallop_steps += it->num_gallop_steps();
+    }
+    return counts;
+  }
+
+  const std::vector<LeapfrogStats>& lf_stats() const override {
+    return lf_stats_;
+  }
+
+ private:
+  // Cursor Seek() calls so far, for the seek budget. A direct sum over the
+  // (statically bound) cursor counters: the B-tree cursor counts each
+  // Next() as a seek too, so the leapfrogs' own seek counts would not be
+  // the same number on that backend.
+  size_t SeeksSoFar() const {
     size_t total = 0;
     for (const auto& it : iters_) total += it->num_seeks();
     return total;
   }
 
-  size_t TotalNexts() const {
-    size_t total = 0;
-    for (const auto& it : iters_) total += it->num_nexts();
-    return total;
-  }
-
-  size_t TotalOpens() const {
-    size_t total = 0;
-    for (const auto& it : iters_) total += it->num_opens();
-    return total;
-  }
-
-  size_t TotalUps() const {
-    size_t total = 0;
-    for (const auto& it : iters_) total += it->num_ups();
-    return total;
-  }
-
-  size_t TotalGallopSteps() const {
-    size_t total = 0;
-    for (const auto& it : iters_) total += it->num_gallop_steps();
-    return total;
-  }
-
-  /// Per-variable leapfrog stats: lf_stats()[d] covers the intersections
-  /// that bound var_order[d].
-  const std::vector<LeapfrogStats>& lf_stats() const { return lf_stats_; }
-
- private:
-  bool PredicatesHold(int depth) const {
-    for (const ResolvedPredicate& p : preds_) {
-      if (p.ready_depth != depth) continue;
+  bool PredicatesHold(size_t depth) const {
+    for (const ResolvedPredicate& p : preds_per_depth_[depth]) {
       const Value l = p.lhs_idx >= 0 ? binding_[static_cast<size_t>(p.lhs_idx)]
                                      : p.lhs_const;
       const Value r = p.rhs_idx >= 0 ? binding_[static_cast<size_t>(p.rhs_idx)]
@@ -110,8 +145,8 @@ class Joiner {
     return true;
   }
 
-  Status Recurse(int depth) {
-    if (static_cast<size_t>(depth) == num_vars_) {
+  Status Recurse(size_t depth) {
+    if (depth == num_vars_) {
       ++count_;
       if (out_ != nullptr) out_->AddTuple(binding_);
       if (count_ > options_.max_output_rows) {
@@ -122,22 +157,17 @@ class Joiner {
       return Status::OK();
     }
 
-    const std::vector<int>& participating =
-        iters_per_depth_[static_cast<size_t>(depth)];
+    const std::vector<int>& participating = iters_per_depth_[depth];
     PTP_DCHECK(!participating.empty());
 
     // Open the participating iterators one level deeper; if any relation has
     // no rows under the current prefix, the residual query is empty.
-    std::vector<TrieCursor*> open;
-    open.reserve(participating.size());
+    std::vector<Cursor*>& open = open_per_depth_[depth];
+    open.clear();
     bool empty = false;
     for (int idx : participating) {
-      TrieCursor& it = *iters_[static_cast<size_t>(idx)];
-      if (it.depth() >= 0 && it.AtEnd()) {
-        empty = true;
-        break;
-      }
-      if (it.EmptyRelation()) {
+      Cursor& it = *iters_[static_cast<size_t>(idx)];
+      if ((it.depth() >= 0 && it.AtEnd()) || it.EmptyRelation()) {
         empty = true;
         break;
       }
@@ -150,30 +180,32 @@ class Joiner {
     }
     Status status;
     if (!empty) {
-      LeapfrogJoin leapfrog(open, &lf_stats_[static_cast<size_t>(depth)]);
+      LeapfrogJoin<Cursor> leapfrog(std::move(open), &lf_stats_[depth]);
       while (!leapfrog.AtEnd()) {
-        binding_[static_cast<size_t>(depth)] = leapfrog.Key();
+        binding_[depth] = leapfrog.Key();
         if (PredicatesHold(depth)) {
           status = Recurse(depth + 1);
           if (!status.ok()) break;
         }
-        if (TotalSeeks() > options_.max_seeks) {
+        if (SeeksSoFar() > options_.max_seeks) {
           status = Status::ResourceExhausted(StrFormat(
               "Tributary join exceeded %zu seeks", options_.max_seeks));
           break;
         }
         leapfrog.Next();
       }
+      open = leapfrog.ReleaseIters();
     }
-    for (TrieCursor* it : open) it->Up();
+    for (Cursor* it : open) it->Up();
     return status;
   }
 
   std::vector<Relation> inputs_;
   std::vector<std::unique_ptr<BPlusTree>> trees_;
-  std::vector<std::unique_ptr<TrieCursor>> iters_;
+  std::vector<std::unique_ptr<Cursor>> iters_;
   std::vector<std::vector<int>> iters_per_depth_;
-  std::vector<ResolvedPredicate> preds_;
+  std::vector<std::vector<ResolvedPredicate>> preds_per_depth_;
+  std::vector<std::vector<Cursor*>> open_per_depth_;
   size_t num_vars_;
   TJOptions options_;
   Tuple binding_;
@@ -185,7 +217,7 @@ class Joiner {
 // Shared preparation for TributaryJoin / TributaryCount: permutes and sorts
 // (or tree-builds) the inputs and constructs the Joiner.
 struct PreparedJoin {
-  std::unique_ptr<Joiner> joiner;
+  std::unique_ptr<JoinDriver> joiner;
   double sort_seconds = 0;
   /// Trie storage bytes (sorted arrays or B+-tree rows — same row count
   /// either way), held live until the join finishes.
@@ -252,7 +284,6 @@ Result<PreparedJoin> Prepare(const std::vector<const Relation*>& inputs,
   // Build the trie storage: sorting already happened above for the array
   // backend; the B-tree backend pays its on-the-fly insertion build here.
   std::vector<std::unique_ptr<BPlusTree>> trees;
-  std::vector<std::unique_ptr<TrieCursor>> cursors;
   if (options.backend == TJBackend::kBTree) {
     trees.reserve(sorted.size());
     for (Relation& rel : sorted) {
@@ -260,9 +291,6 @@ Result<PreparedJoin> Prepare(const std::vector<const Relation*>& inputs,
       tree->InsertAll(rel);
       rel.Clear();  // rows now live in the tree
       trees.push_back(std::move(tree));
-    }
-    for (const auto& tree : trees) {
-      cursors.push_back(std::make_unique<BTreeTrieIterator>(tree.get()));
     }
   }
   const double sort_seconds = sort_timer.Seconds();
@@ -293,39 +321,48 @@ Result<PreparedJoin> Prepare(const std::vector<const Relation*>& inputs,
     resolved.push_back(r);
   }
 
-  // Cursors point at the Relation objects inside `storage`; moving the
-  // vector into Joiner transfers its heap buffer, so element addresses (and
-  // thus the cursors) stay valid.
-  std::vector<Relation> storage = std::move(sorted);
-  if (options.backend == TJBackend::kSortedArray) {
-    cursors.reserve(storage.size());
-    for (const Relation& rel : storage) {
-      cursors.push_back(std::make_unique<TrieIterator>(&rel));
-    }
-  }
   PreparedJoin prepared;
   prepared.sort_seconds = sort_seconds;
   prepared.trie_mem = ScopedMemCharge(MemCategory::kTrie, trie_bytes);
-  prepared.joiner = std::make_unique<Joiner>(
-      std::move(storage), std::move(trees), std::move(cursors),
-      std::move(iters_per_depth), std::move(resolved), var_order.size(),
-      options);
+  if (options.backend == TJBackend::kBTree) {
+    std::vector<std::unique_ptr<BTreeTrieIterator>> cursors;
+    cursors.reserve(trees.size());
+    for (const auto& tree : trees) {
+      cursors.push_back(std::make_unique<BTreeTrieIterator>(tree.get()));
+    }
+    prepared.joiner = std::make_unique<Joiner<BTreeTrieIterator>>(
+        std::move(sorted), std::move(trees), std::move(cursors),
+        std::move(iters_per_depth), resolved, var_order.size(), options);
+  } else {
+    // Cursors point at the Relation objects inside `sorted`; moving the
+    // vector into Joiner transfers its heap buffer, so element addresses
+    // (and thus the cursors) stay valid.
+    std::vector<std::unique_ptr<TrieIterator>> cursors;
+    cursors.reserve(sorted.size());
+    for (const Relation& rel : sorted) {
+      cursors.push_back(std::make_unique<TrieIterator>(&rel));
+    }
+    prepared.joiner = std::make_unique<Joiner<TrieIterator>>(
+        std::move(sorted), std::move(trees), std::move(cursors),
+        std::move(iters_per_depth), resolved, var_order.size(), options);
+  }
   return prepared;
 }
 
 // Fills `metrics` from the finished joiner and publishes the aggregated
 // trie-operation counts to the active counter registry (single batch after
 // the join — never per-tuple registry lookups on the hot path).
-void FinishTJMetrics(const Joiner& joiner,
+void FinishTJMetrics(const JoinDriver& joiner,
                      const std::vector<std::string>& var_order,
                      size_t output_tuples, TJMetrics* metrics) {
   const std::vector<LeapfrogStats>& lf = joiner.lf_stats();
+  const TrieOpCounts ops = joiner.Counts();
   if (metrics != nullptr) {
-    metrics->seeks = joiner.TotalSeeks();
-    metrics->nexts = joiner.TotalNexts();
-    metrics->opens = joiner.TotalOpens();
-    metrics->ups = joiner.TotalUps();
-    metrics->gallop_steps = joiner.TotalGallopSteps();
+    metrics->seeks = ops.seeks;
+    metrics->nexts = ops.nexts;
+    metrics->opens = ops.opens;
+    metrics->ups = ops.ups;
+    metrics->gallop_steps = ops.gallop_steps;
     metrics->output_tuples = output_tuples;
     metrics->seeks_per_var.assign(var_order.size(), 0);
     for (size_t d = 0; d < lf.size() && d < var_order.size(); ++d) {
@@ -335,11 +372,11 @@ void FinishTJMetrics(const Joiner& joiner,
   CounterRegistry* reg = ActiveCounterRegistry();
   if (reg == nullptr) return;
   reg->Add("tj.joins", 1);
-  reg->Add("tj.seeks", joiner.TotalSeeks());
-  reg->Add("tj.nexts", joiner.TotalNexts());
-  reg->Add("tj.opens", joiner.TotalOpens());
-  reg->Add("tj.ups", joiner.TotalUps());
-  reg->Add("tj.gallop_steps", joiner.TotalGallopSteps());
+  reg->Add("tj.seeks", ops.seeks);
+  reg->Add("tj.nexts", ops.nexts);
+  reg->Add("tj.opens", ops.opens);
+  reg->Add("tj.ups", ops.ups);
+  reg->Add("tj.gallop_steps", ops.gallop_steps);
   reg->Add("tj.output_tuples", output_tuples);
   for (size_t d = 0; d < lf.size() && d < var_order.size(); ++d) {
     reg->Add(std::string("tj.seeks.") + var_order[d], lf[d].seeks);

@@ -12,6 +12,10 @@ namespace ptp {
 ///  * TrieIterator      — sorted flat arrays (the paper's Tributary join)
 ///  * BTreeTrieIterator — a B+-tree built on the fly (the LogicBlox layout
 ///    the paper argues against when preprocessing is impossible)
+/// Both implementations are `final`: the Tributary join instantiates its
+/// driver and LeapfrogJoin once per concrete cursor type, so the per-key
+/// calls bind statically and inline; the virtual interface serves tests and
+/// tools that mix backends.
 class TrieCursor {
  public:
   virtual ~TrieCursor() = default;
@@ -43,16 +47,6 @@ class TrieCursor {
   /// Exponential-search (galloping) probe steps performed inside Seek(),
   /// for backends that gallop before binary-searching (tj.gallop_steps).
   virtual size_t num_gallop_steps() const { return 0; }
-  /// Seeks / nexts performed at trie level `depth` (0-based), when the
-  /// backend attributes them per level.
-  virtual size_t seeks_at_level(int depth) const {
-    (void)depth;
-    return 0;
-  }
-  virtual size_t nexts_at_level(int depth) const {
-    (void)depth;
-    return 0;
-  }
 };
 
 }  // namespace ptp
