@@ -1,6 +1,16 @@
 #include "plan/strategies.h"
 
+#include <memory>
+#include <sstream>
+#include <string>
+
+#include "common/hash.h"
+#include "data/workloads.h"
+#include "exec/lifecycle.h"
+#include "fault/fault.h"
 #include "gtest/gtest.h"
+#include "obs/counters.h"
+#include "obs/resource.h"
 #include "query/parser.h"
 #include "runtime/parallel.h"
 #include "test_util.h"
@@ -327,6 +337,354 @@ TEST(StrategiesTest, MetricsArePopulated) {
   EXPECT_EQ(m.worker_sort_seconds.size(), 8u);
   EXPECT_EQ(m.worker_join_seconds.size(), 8u);
   EXPECT_EQ(m.output_tuples, result->output.NumTuples());
+}
+
+// ---------------------------------------------------------------------------
+// StrategyGolden: everything a run reports, pinned for Q1-Q8 x the six
+// strategies under five schedules, with a meter and a lifecycle installed
+// as on a served query. One digest per (query, strategy, schedule) covers
+// the ordered stage and shuffle lists (labels, outputs, retries, failed and
+// degraded flags), degradations, fail reason and code, the counter
+// snapshot, peak and charged bytes, lifecycle polls, and the in-order
+// output. A refactor of the strategy layer must leave every digest as is.
+// ---------------------------------------------------------------------------
+
+WorkloadScale GoldenScale() {
+  WorkloadScale scale;
+  scale.twitter.num_nodes = 400;
+  scale.twitter.num_edges = 2500;
+  scale.twitter.zipf_exponent = 0.7;
+  scale.freebase_scale = 0.08;
+  scale.seed = 99;
+  return scale;
+}
+
+std::string GoldenAtomLabel(const NormalizedAtom& atom) {
+  std::string label = atom.relation.name() + "(";
+  for (size_t i = 0; i < atom.variables.size(); ++i) {
+    if (i > 0) label += ", ";
+    label += atom.variables[i];
+  }
+  return label + ")";
+}
+
+enum GoldenSchedule {
+  kClean,
+  kLocalTJDegrade,  // persistent operator error in "local TJ"
+  kRoundDegrade,    // persistent crash in round "join_1"
+  kHCFallback,      // persistent drop on the first HyperCube exchange
+  kCancelAt3,       // CancelAfterPolls(3)
+  kNumSchedules,
+};
+
+std::string GoldenFaults(GoldenSchedule schedule, const NormalizedQuery& q) {
+  switch (schedule) {
+    case kLocalTJDegrade:
+      return "err@attempt=*,stage=local TJ";
+    case kRoundDegrade:
+      return "crash@attempt=*,stage=join_1";
+    case kHCFallback:
+      return "drop@attempt=*,label=HCS " + GoldenAtomLabel(q.atoms[0]);
+    default:
+      return "";
+  }
+}
+
+uint64_t HashText(const std::string& text) {
+  uint64_t h = 0x9ae16a3b2f90404fULL;
+  for (unsigned char c : text) h = HashCombine(h, c);
+  return HashCombine(h, text.size());
+}
+
+// Runs one strategy under `schedule` and digests its full report.
+uint64_t GoldenDigest(const NormalizedQuery& q, ShuffleKind shuffle,
+                      JoinKind join, GoldenSchedule schedule) {
+  StrategyOptions opts;
+  opts.num_workers = 16;
+  CounterRegistry registry;
+  ResourceMeter meter;
+  QueryLifecycle lifecycle;
+  if (schedule == kCancelAt3) lifecycle.CancelAfterPolls(3);
+  std::unique_ptr<FaultInjector> injector;
+  const std::string faults = GoldenFaults(schedule, q);
+  if (!faults.empty()) {
+    auto plan = FaultPlan::Parse(faults);
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    injector = std::make_unique<FaultInjector>(std::move(plan).value());
+  }
+  CounterRegistry* prev_reg = SetActiveCounterRegistry(&registry);
+  ResourceMeter* prev_meter = SetActiveResourceMeter(&meter);
+  QueryLifecycle* prev_lc = SetActiveQueryLifecycle(&lifecycle);
+  FaultInjector* prev_inj = SetActiveFaultInjector(injector.get());
+  Result<StrategyResult> result = RunStrategy(q, shuffle, join, opts);
+  SetActiveFaultInjector(prev_inj);
+  SetActiveQueryLifecycle(prev_lc);
+  SetActiveResourceMeter(prev_meter);
+  SetActiveCounterRegistry(prev_reg);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  if (!result.ok()) return 0;
+
+  const QueryMetrics& m = result->metrics;
+  std::ostringstream text;
+  for (const StageMetrics& s : m.stages) {
+    text << "stage " << s.label << '|' << s.output_tuples << '|'
+         << s.retries << '|' << s.failed << '|' << s.degraded << '\n';
+  }
+  for (const ShuffleMetrics& s : m.shuffles) {
+    text << "shuffle " << s.label << '|' << s.tuples_sent << '|'
+         << s.retries << '\n';
+  }
+  for (const std::string& d : m.degradations) text << "degraded " << d << '\n';
+  text << "fail " << m.failed << '|' << static_cast<int>(m.fail_code) << '|'
+       << m.fail_reason << '\n';
+  for (const auto& [name, value] : registry.CounterSnapshot()) {
+    text << name << '=' << value << '\n';
+  }
+  text << "bytes " << m.peak_bytes << '|' << m.charged_bytes << '\n';
+  text << "polls " << lifecycle.stats().polls << '\n';
+  uint64_t h = HashText(text.str());
+  h = HashCombine(h, result->output.arity());
+  for (Value v : result->output.data()) {
+    h = HashCombine(h, Mix64(static_cast<uint64_t>(v)));
+  }
+  return h;
+}
+
+struct GoldenStrategy {
+  int query;
+  const char* strategy;
+  uint64_t digest[kNumSchedules];
+};
+
+const GoldenStrategy kGoldenStrategies[] = {
+    {1, "RS_HJ",
+     {0xa593f6a394f05099ULL, 0xa593f6a394f05099ULL,
+      0x357d76fa0271ca73ULL, 0xa593f6a394f05099ULL,
+      0x32e1567b11205b1cULL}},
+    {1, "RS_TJ",
+     {0x7eea966630cf807fULL, 0x7eea966630cf807fULL,
+      0x68beb95562e67f68ULL, 0x7eea966630cf807fULL,
+      0x32e1567b11205b1cULL}},
+    {1, "BR_HJ",
+     {0xfec375ac7fe2b4daULL, 0xfec375ac7fe2b4daULL,
+      0xfec375ac7fe2b4daULL, 0xfec375ac7fe2b4daULL,
+      0x8870ad695d7086fcULL}},
+    {1, "BR_TJ",
+     {0xe50afeecc7d2993ULL, 0xe1c2ad6be6bf1324ULL,
+      0xe50afeecc7d2993ULL, 0xe50afeecc7d2993ULL,
+      0x8870ad695d7086fcULL}},
+    {1, "HC_HJ",
+     {0xd783f4a14a45c66cULL, 0xd783f4a14a45c66cULL,
+      0xd783f4a14a45c66cULL, 0xaf1ddcbc5535ceabULL,
+      0x7db4bcf6d867dd5bULL}},
+    {1, "HC_TJ",
+     {0xa05058293f3e29a2ULL, 0x8f90c32f21521450ULL,
+      0xa05058293f3e29a2ULL, 0xc5e4c27f11f5e7d3ULL,
+      0x7db4bcf6d867dd5bULL}},
+    {2, "RS_HJ",
+     {0xd481008f8ca1d953ULL, 0xd481008f8ca1d953ULL,
+      0x357d76fa0271ca73ULL, 0xd481008f8ca1d953ULL,
+      0x32e1567b11205b1cULL}},
+    {2, "RS_TJ",
+     {0x1f6b62b6f2a4c4d7ULL, 0x1f6b62b6f2a4c4d7ULL,
+      0xc4f081e612b99940ULL, 0x1f6b62b6f2a4c4d7ULL,
+      0x32e1567b11205b1cULL}},
+    {2, "BR_HJ",
+     {0x40668463692838f8ULL, 0x40668463692838f8ULL,
+      0x40668463692838f8ULL, 0x40668463692838f8ULL,
+      0x8870ad695d7086fcULL}},
+    {2, "BR_TJ",
+     {0x8dd31cbb00abfa1bULL, 0xa8a815a59318a79ULL,
+      0x8dd31cbb00abfa1bULL, 0x8dd31cbb00abfa1bULL,
+      0x8870ad695d7086fcULL}},
+    {2, "HC_HJ",
+     {0x24b61c21c3cae647ULL, 0x24b61c21c3cae647ULL,
+      0x24b61c21c3cae647ULL, 0x124a9fed62f642cdULL,
+      0x7db4bcf6d867dd5bULL}},
+    {2, "HC_TJ",
+     {0x3bdb25bb6b8478acULL, 0xda44b8e9a6ca209fULL,
+      0x3bdb25bb6b8478acULL, 0x742b89ab75548b1ULL,
+      0x7db4bcf6d867dd5bULL}},
+    {3, "RS_HJ",
+     {0xf29822319bcd94d7ULL, 0xf29822319bcd94d7ULL,
+      0xb1d96fc2f9588a40ULL, 0xf29822319bcd94d7ULL,
+      0x8c885835f9c106b9ULL}},
+    {3, "RS_TJ",
+     {0xbd699fc0e5929f3cULL, 0xbd699fc0e5929f3cULL,
+      0x6d66474f28529f55ULL, 0xbd699fc0e5929f3cULL,
+      0x8c885835f9c106b9ULL}},
+    {3, "BR_HJ",
+     {0x1331e72581c720ecULL, 0x1331e72581c720ecULL,
+      0x1331e72581c720ecULL, 0x1331e72581c720ecULL,
+      0x683c5aba7efa1eb5ULL}},
+    {3, "BR_TJ",
+     {0x8303bb2d4f581347ULL, 0xc6cff3b5a8574660ULL,
+      0x8303bb2d4f581347ULL, 0x8303bb2d4f581347ULL,
+      0x683c5aba7efa1eb5ULL}},
+    {3, "HC_HJ",
+     {0x20f281dde7588046ULL, 0x20f281dde7588046ULL,
+      0x20f281dde7588046ULL, 0x3e41a5e435dafb9dULL,
+      0xb84a831cb3a707f8ULL}},
+    {3, "HC_TJ",
+     {0x15e6d6fd33c1a360ULL, 0x14a6108b2bbaed6bULL,
+      0x15e6d6fd33c1a360ULL, 0xb3dde87f417be270ULL,
+      0xb84a831cb3a707f8ULL}},
+    {4, "RS_HJ",
+     {0xcb10530b6ddb4085ULL, 0xcb10530b6ddb4085ULL,
+      0x28f4c0259bae70f6ULL, 0xcb10530b6ddb4085ULL,
+      0xbfd26067f54aaa8aULL}},
+    {4, "RS_TJ",
+     {0x853fc6af71bbc823ULL, 0x853fc6af71bbc823ULL,
+      0x3dad2386a77ead05ULL, 0x853fc6af71bbc823ULL,
+      0xbfd26067f54aaa8aULL}},
+    {4, "BR_HJ",
+     {0xc07073d6f51e69c9ULL, 0xc07073d6f51e69c9ULL,
+      0xc07073d6f51e69c9ULL, 0xc07073d6f51e69c9ULL,
+      0xc263113683e9680eULL}},
+    {4, "BR_TJ",
+     {0x90e215df539b1a7aULL, 0xf984806ffc662448ULL,
+      0x90e215df539b1a7aULL, 0x90e215df539b1a7aULL,
+      0xc263113683e9680eULL}},
+    {4, "HC_HJ",
+     {0xce54f3843d6d0038ULL, 0xce54f3843d6d0038ULL,
+      0xce54f3843d6d0038ULL, 0x29915421393de6c6ULL,
+      0x94221f6ccc726c35ULL}},
+    {4, "HC_TJ",
+     {0x7bd5a0966acb9563ULL, 0x9cba9eb449c86e26ULL,
+      0x7bd5a0966acb9563ULL, 0xe53709e98b20ba9eULL,
+      0x94221f6ccc726c35ULL}},
+    {5, "RS_HJ",
+     {0x58ca08a6b41805dfULL, 0x58ca08a6b41805dfULL,
+      0x357d76fa0271ca73ULL, 0x58ca08a6b41805dfULL,
+      0x32e1567b11205b1cULL}},
+    {5, "RS_TJ",
+     {0xd0cc1053a8f275aeULL, 0xd0cc1053a8f275aeULL,
+      0xf56cf4d4d0141382ULL, 0xd0cc1053a8f275aeULL,
+      0x32e1567b11205b1cULL}},
+    {5, "BR_HJ",
+     {0x5952e0e566246469ULL, 0x5952e0e566246469ULL,
+      0x5952e0e566246469ULL, 0x5952e0e566246469ULL,
+      0x8870ad695d7086fcULL}},
+    {5, "BR_TJ",
+     {0x467281dfb867ffdULL, 0x4ef23c9965249a2eULL,
+      0x467281dfb867ffdULL, 0x467281dfb867ffdULL,
+      0x8870ad695d7086fcULL}},
+    {5, "HC_HJ",
+     {0xffa68aca70682b0fULL, 0xffa68aca70682b0fULL,
+      0xffa68aca70682b0fULL, 0x86fa4f1d856ad2acULL,
+      0x7db4bcf6d867dd5bULL}},
+    {5, "HC_TJ",
+     {0xa54b04ad422333bULL, 0xd17df81b8a6a7d4ULL,
+      0xa54b04ad422333bULL, 0xdb85a4fabd058b0aULL,
+      0x7db4bcf6d867dd5bULL}},
+    {6, "RS_HJ",
+     {0x5e804f5e104be274ULL, 0x5e804f5e104be274ULL,
+      0x357d76fa0271ca73ULL, 0x5e804f5e104be274ULL,
+      0x32e1567b11205b1cULL}},
+    {6, "RS_TJ",
+     {0x9a19e638a43213fbULL, 0x9a19e638a43213fbULL,
+      0x829d95a1fbe26b9bULL, 0x9a19e638a43213fbULL,
+      0x32e1567b11205b1cULL}},
+    {6, "BR_HJ",
+     {0x269fa871603b02d7ULL, 0x269fa871603b02d7ULL,
+      0x269fa871603b02d7ULL, 0x269fa871603b02d7ULL,
+      0x8870ad695d7086fcULL}},
+    {6, "BR_TJ",
+     {0xd1660ed83f5c8e1fULL, 0x7a22bad8d17bee3fULL,
+      0xd1660ed83f5c8e1fULL, 0xd1660ed83f5c8e1fULL,
+      0x8870ad695d7086fcULL}},
+    {6, "HC_HJ",
+     {0x280090df6cccaa31ULL, 0x280090df6cccaa31ULL,
+      0x280090df6cccaa31ULL, 0x5583feeee983ea26ULL,
+      0x7db4bcf6d867dd5bULL}},
+    {6, "HC_TJ",
+     {0xd7bf5366e92a1e30ULL, 0xe586bb8d1cc0d987ULL,
+      0xd7bf5366e92a1e30ULL, 0x60ff165f217c964cULL,
+      0x7db4bcf6d867dd5bULL}},
+    {7, "RS_HJ",
+     {0xe2ef2cbf29f197bdULL, 0xe2ef2cbf29f197bdULL,
+      0x7e3b211076a2365aULL, 0xe2ef2cbf29f197bdULL,
+      0xd8e8ba058b1f0b98ULL}},
+    {7, "RS_TJ",
+     {0xa41b779be0c81a8aULL, 0xa41b779be0c81a8aULL,
+      0x148d40e8eaa722edULL, 0xa41b779be0c81a8aULL,
+      0xd8e8ba058b1f0b98ULL}},
+    {7, "BR_HJ",
+     {0xdc7351a78cd92a46ULL, 0xdc7351a78cd92a46ULL,
+      0xdc7351a78cd92a46ULL, 0xdc7351a78cd92a46ULL,
+      0x2fdf7bf494c99b69ULL}},
+    {7, "BR_TJ",
+     {0x2b227a8216a7eca5ULL, 0xb567be3dccfb6da3ULL,
+      0x2b227a8216a7eca5ULL, 0x2b227a8216a7eca5ULL,
+      0x2fdf7bf494c99b69ULL}},
+    {7, "HC_HJ",
+     {0xab4dc37c9e6839a1ULL, 0xab4dc37c9e6839a1ULL,
+      0xab4dc37c9e6839a1ULL, 0x7edab997289390fcULL,
+      0x126a7fc9ce972c49ULL}},
+    {7, "HC_TJ",
+     {0x29ea90184c47a240ULL, 0x415cec7d9465da55ULL,
+      0x29ea90184c47a240ULL, 0x5b3ba12d43680777ULL,
+      0x126a7fc9ce972c49ULL}},
+    {8, "RS_HJ",
+     {0xfc987ba78a3d12e0ULL, 0xfc987ba78a3d12e0ULL,
+      0x51515d04f19568e1ULL, 0xfc987ba78a3d12e0ULL,
+      0xbe39d6ac482d2b58ULL}},
+    {8, "RS_TJ",
+     {0x3483d6f395d17cULL, 0x3483d6f395d17cULL,
+      0x7fdee8c0caa82fe2ULL, 0x3483d6f395d17cULL,
+      0xbe39d6ac482d2b58ULL}},
+    {8, "BR_HJ",
+     {0x4a4b6b693c8f9050ULL, 0x4a4b6b693c8f9050ULL,
+      0x4a4b6b693c8f9050ULL, 0x4a4b6b693c8f9050ULL,
+      0x2e4755416ff0248bULL}},
+    {8, "BR_TJ",
+     {0x8e6640f739cdb9afULL, 0xaee08ca6ec2b318fULL,
+      0x8e6640f739cdb9afULL, 0x8e6640f739cdb9afULL,
+      0x2e4755416ff0248bULL}},
+    {8, "HC_HJ",
+     {0x4a8ff4b3b99add55ULL, 0x4a8ff4b3b99add55ULL,
+      0x4a8ff4b3b99add55ULL, 0x2db9633a0e53ca3dULL,
+      0x416b6dd263e11943ULL}},
+    {8, "HC_TJ",
+     {0x878e799bf4b53393ULL, 0xfe2aae685e54bd27ULL,
+      0x878e799bf4b53393ULL, 0xd29e02036ba96705ULL,
+      0x416b6dd263e11943ULL}},
+};
+
+TEST(StrategyGolden, EveryStrategyReportMatchesGoldenUnderFiveSchedules) {
+  WorkloadFactory factory(GoldenScale());
+  size_t checked = 0;
+  for (int qi = 1; qi <= 8; ++qi) {
+    auto wl = factory.Make(qi);
+    ASSERT_TRUE(wl.ok()) << wl.status().ToString();
+    for (const auto& [shuffle, join] : AllStrategies()) {
+      const std::string name = StrategyName(shuffle, join);
+      std::ostringstream row;
+      row << "{" << qi << ", \"" << name << "\", {" << std::hex;
+      uint64_t digest[kNumSchedules];
+      for (int s = 0; s < kNumSchedules; ++s) {
+        digest[s] = GoldenDigest(wl->normalized, shuffle, join,
+                                 static_cast<GoldenSchedule>(s));
+        row << (s > 0 ? ", " : "") << "0x" << digest[s] << "ULL";
+      }
+      row << "}},";
+      const GoldenStrategy* golden = nullptr;
+      for (const GoldenStrategy& g : kGoldenStrategies) {
+        if (g.query == qi && name == g.strategy) golden = &g;
+      }
+      if (golden == nullptr) {
+        ADD_FAILURE() << "no golden row: " << row.str();
+        continue;
+      }
+      for (int s = 0; s < kNumSchedules; ++s) {
+        EXPECT_EQ(digest[s], golden->digest[s])
+            << "Q" << qi << " " << name << " schedule " << s << "\n"
+            << row.str();
+      }
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, std::size(kGoldenStrategies));
 }
 
 }  // namespace
