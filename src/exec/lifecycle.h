@@ -19,9 +19,9 @@ namespace ptp {
 /// bit-identical to a run without it (the serving isolation audits compare
 /// served counters against solo references).
 struct LifecycleStats {
-  /// Coordinator poll-point visits (stage barriers, exchange boundaries,
-  /// charge sites) — the deterministic points where a cancel or deadline
-  /// can take effect.
+  /// Coordinator poll-point visits (recovery attempts, exchange steps, stage
+  /// and round barriers) — the deterministic points where a cancel or
+  /// deadline can take effect.
   uint64_t polls = 0;
   /// Barrier-checkpoint suspensions honored / resumes performed.
   uint64_t suspends = 0;
@@ -41,7 +41,7 @@ struct LifecycleStats {
 /// The control surface (Cancel, SetDeadline, RequestSuspend) is thread-safe
 /// and may be driven from any thread (e.g. QueryServer::Cancel from a client
 /// thread). The poll surface (Poll, ConsumeSuspend) is coordinator-only: it
-/// runs at the same deterministic points as Ctx::FailOnHardBreach, so the
+/// runs only at fixed coordinator points (docs/ROBUSTNESS.md), so the
 /// set of possible decision points is bit-identical at every --threads
 /// setting. Wall-clock deadlines pick WHICH of those points fires by time;
 /// the *AfterPolls knobs pin it exactly for deterministic tests.

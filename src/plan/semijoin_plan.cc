@@ -1,81 +1,27 @@
 #include "plan/semijoin_plan.h"
 
-#include <algorithm>
-
-#include "common/logging.h"
 #include "common/str_util.h"
 #include "common/timer.h"
 #include "exec/local_ops.h"
-#include "exec/recovery.h"
 #include "exec/shuffle.h"
+#include "plan/stage_driver.h"
 #include "runtime/parallel.h"
 
 namespace ptp {
-namespace {
 
-std::vector<std::string> SharedVars(const Schema& a, const Schema& b) {
-  std::vector<std::string> shared;
-  for (size_t i = 0; i < a.arity(); ++i) {
-    if (b.IndexOf(a.name(i)) >= 0) shared.push_back(a.name(i));
-  }
-  return shared;
-}
-
-std::vector<int> ColumnIndices(const Schema& schema,
-                               const std::vector<std::string>& vars) {
-  std::vector<int> cols;
-  for (const std::string& var : vars) {
-    int c = schema.IndexOf(var);
-    PTP_CHECK_GE(c, 0);
-    cols.push_back(c);
-  }
-  return cols;
-}
-
-// Minimal booking mirror of strategies.cc (that helper is internal there).
-struct Booker {
-  QueryMetrics* metrics;
-  int W;
-
-  void Shuffle(const ShuffleMetrics& sm, double elapsed) {
-    metrics->shuffles.push_back(sm);
-    if (sm.tuples_sent == 0) return;
-    const double per_worker = elapsed / W;
-    for (int w = 0; w < W; ++w) {
-      metrics->worker_seconds[static_cast<size_t>(w)] += per_worker;
-    }
-    metrics->wall_seconds += elapsed;
-  }
-
-  // `region_elapsed` is the measured wall time of the parallel region that
-  // ran the per-worker bodies.
-  void Stage(const std::string& label, double region_elapsed,
-             const std::vector<double>& elapsed, size_t output) {
-    StageMetrics stage;
-    stage.label = label;
-    for (double e : elapsed) stage.cpu_seconds += e;
-    stage.wall_seconds = region_elapsed;
-    stage.output_tuples = output;
-    metrics->wall_seconds += region_elapsed;
-    for (size_t w = 0; w < elapsed.size(); ++w) {
-      metrics->worker_seconds[w] += elapsed[w];
-    }
-    metrics->stages.push_back(stage);
-  }
-};
-
-}  // namespace
+using plan_internal::ColumnIndices;
+using plan_internal::Ctx;
+using plan_internal::RunExchangeStep;
+using plan_internal::SharedVars;
+using plan_internal::ShuffleInto;
 
 Result<StrategyResult> RunSemijoinPlan(const ConjunctiveQuery& query,
                                        const NormalizedQuery& normalized,
                                        const StrategyOptions& options,
                                        SemijoinBreakdown* breakdown) {
   PTP_ASSIGN_OR_RETURN(JoinTree tree, BuildJoinTree(query));
-  const int W = options.num_workers;
-
-  StrategyResult result;
-  result.metrics.EnsureWorkers(static_cast<size_t>(W));
-  Booker booker{&result.metrics, W};
+  Ctx ctx(normalized, options);
+  const int W = ctx.W;
 
   // Working distributed state, one per atom.
   std::vector<DistributedRelation> rels;
@@ -86,34 +32,10 @@ Result<StrategyResult> RunSemijoinPlan(const ConjunctiveQuery& query,
     size_before.push_back(atom.relation.NumTuples());
   }
 
-  // Runs one hash shuffle under the exchange recovery loop (see
-  // docs/ROBUSTNESS.md) and books it on success.
-  auto shuffle_with_recovery =
-      [&](const std::string& label, const DistributedRelation& in,
-          const std::vector<int>& cols, DistributedRelation* out,
-          size_t* tuples_sent) -> Status {
-    ShuffleResult sr;
-    Timer t;
-    int retries = 0;
-    Status st = RunWithRecovery(
-        SiteKind::kExchange, label, options.recovery, &result.metrics,
-        &retries, [&](int site, int attempt) -> Status {
-          Result<ShuffleResult> r =
-              HashShuffle(in, cols, W, options.salt, label, {site, attempt});
-          if (!r.ok()) return r.status();
-          sr = std::move(r).value();
-          return Status::OK();
-        });
-    if (!st.ok()) return st;
-    sr.metrics.retries = static_cast<size_t>(retries);
-    booker.Shuffle(sr.metrics, t.Seconds());
-    if (tuples_sent != nullptr) *tuples_sent = sr.metrics.tuples_sent;
-    *out = std::move(sr.data);
-    return Status::OK();
-  };
-
   // One distributed semijoin: rels[target] <- rels[target] ⋉ rels[filter].
-  auto distributed_semijoin = [&](int target, int filter) -> Status {
+  // An exchange that exhausts its retries, a cancel, or a deadline FAILs the
+  // plan gracefully (ctx.failed()), like the six strategies.
+  auto reduce = [&](int target, int filter) -> Status {
     const size_t ti = static_cast<size_t>(target);
     const size_t fi = static_cast<size_t>(filter);
     const std::vector<std::string> shared =
@@ -141,20 +63,38 @@ Result<StrategyResult> RunSemijoinPlan(const ConjunctiveQuery& query,
     const double prep_region = prep_timer.Seconds();
     size_t key_tuples = 0;
     for (const Relation& frag : keys) key_tuples += frag.NumTuples();
-    booker.Stage(StrFormat("project keys %s", rels[fi][0].name().c_str()),
-                 prep_region, prep_elapsed, key_tuples);
+    ctx.BookStage(StrFormat("project keys %s", rels[fi][0].name().c_str()),
+                  prep_region, prep_elapsed, {}, {}, key_tuples, false);
 
     // Shuffle both sides onto the shared attributes.
     DistributedRelation target_sh, keys_sh;
-    size_t sent = 0;
-    PTP_RETURN_IF_ERROR(shuffle_with_recovery(
-        rels[ti][0].name() + " (semijoin input)", rels[ti],
-        ColumnIndices(rels[ti][0].schema(), shared), &target_sh, &sent));
-    if (breakdown != nullptr) breakdown->input_tuples_shuffled += sent;
-    PTP_RETURN_IF_ERROR(shuffle_with_recovery(
-        rels[fi][0].name() + " (semijoin keys)", keys,
-        ColumnIndices(keys[0].schema(), shared), &keys_sh, &sent));
-    if (breakdown != nullptr) breakdown->projected_tuples_shuffled += sent;
+    const std::string input_label = rels[ti][0].name() + " (semijoin input)";
+    const std::string keys_label = rels[fi][0].name() + " (semijoin keys)";
+    PTP_RETURN_IF_ERROR(RunExchangeStep(
+        &ctx,
+        {ShuffleInto(input_label,
+                     [&](ShuffleAttempt a) {
+                       return HashShuffle(
+                           rels[ti],
+                           ColumnIndices(rels[ti][0].schema(), shared), W,
+                           options.salt, input_label, a);
+                     },
+                     &target_sh),
+         ShuffleInto(keys_label,
+                     [&](ShuffleAttempt a) {
+                       return HashShuffle(
+                           keys, ColumnIndices(keys[0].schema(), shared), W,
+                           options.salt, keys_label, a);
+                     },
+                     &keys_sh)},
+        {}));
+    if (ctx.failed()) return Status::OK();
+    if (breakdown != nullptr) {
+      const std::vector<ShuffleMetrics>& booked = ctx.metrics().shuffles;
+      breakdown->input_tuples_shuffled +=
+          booked[booked.size() - 2].tuples_sent;
+      breakdown->projected_tuples_shuffled += booked.back().tuples_sent;
+    }
 
     // Local semijoin.
     std::vector<double> elapsed(static_cast<size_t>(W), 0.0);
@@ -169,34 +109,18 @@ Result<StrategyResult> RunSemijoinPlan(const ConjunctiveQuery& query,
     const double sj_region = sj_timer.Seconds();
     size_t kept = 0;
     for (const Relation& frag : target_sh) kept += frag.NumTuples();
-    booker.Stage(StrFormat("semijoin %s ⋉ %s", rels[ti][0].name().c_str(),
-                           rels[fi][0].name().c_str()),
-                 sj_region, elapsed, kept);
+    ctx.BookStage(StrFormat("semijoin %s ⋉ %s", rels[ti][0].name().c_str(),
+                            rels[fi][0].name().c_str()),
+                  sj_region, elapsed, {}, {}, kept, false);
     rels[ti] = std::move(target_sh);
     return Status::OK();
-  };
-
-  // An exchange that exhausted its retries FAILs the plan gracefully (a
-  // data point, like budget exhaustion) instead of propagating an error.
-  bool gave_up = false;
-  auto reduce = [&](int target, int filter) -> Status {
-    Status st = distributed_semijoin(target, filter);
-    if (!st.ok() && IsRetryableFailure(st)) {
-      result.metrics.failed = true;
-      result.metrics.fail_reason =
-          StrFormat("semijoin exchange failed after %d retries: %s",
-                    options.recovery.max_retries, st.ToString().c_str());
-      gave_up = true;
-      return Status::OK();
-    }
-    return st;
   };
 
   // Bottom-up pass: reduce each node by its (already reduced) children.
   for (int node : tree.bottom_up_order) {
     for (int child : tree.children[static_cast<size_t>(node)]) {
       PTP_RETURN_IF_ERROR(reduce(node, child));
-      if (gave_up) return result;
+      if (ctx.failed()) return std::move(ctx.result);
     }
   }
   // Top-down pass: reduce each child by its (fully reduced) parent.
@@ -204,7 +128,7 @@ Result<StrategyResult> RunSemijoinPlan(const ConjunctiveQuery& query,
        it != tree.bottom_up_order.rend(); ++it) {
     for (int child : tree.children[static_cast<size_t>(*it)]) {
       PTP_RETURN_IF_ERROR(reduce(child, *it));
-      if (gave_up) return result;
+      if (ctx.failed()) return std::move(ctx.result);
     }
   }
 
@@ -225,10 +149,10 @@ Result<StrategyResult> RunSemijoinPlan(const ConjunctiveQuery& query,
       StrategyResult final_join,
       RunStrategy(reduced, ShuffleKind::kRegular, JoinKind::kHashJoin,
                   options));
-  result.metrics.Absorb(final_join.metrics);
-  result.output = std::move(final_join.output);
-  result.join_order_used = final_join.join_order_used;
-  return result;
+  ctx.metrics().Absorb(final_join.metrics);
+  ctx.result.output = std::move(final_join.output);
+  ctx.result.join_order_used = final_join.join_order_used;
+  return std::move(ctx.result);
 }
 
 }  // namespace ptp

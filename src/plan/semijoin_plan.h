@@ -26,7 +26,11 @@ struct SemijoinBreakdown {
 /// projection of S onto the shared attributes (in our setting every relation
 /// is distributed — the paper's point about the extra cost).
 ///
-/// Returns InvalidArgument for cyclic queries (no full reduction exists).
+/// Exchanges run under the same recovery and control polls as RunStrategy:
+/// an exhausted exchange, a cancel, or a deadline is a graceful FAIL
+/// (metrics.failed with fail_code kUnavailable / kCancelled /
+/// kDeadlineExceeded), not an error. Returns InvalidArgument for cyclic
+/// queries (no full reduction exists).
 Result<StrategyResult> RunSemijoinPlan(const ConjunctiveQuery& query,
                                        const NormalizedQuery& normalized,
                                        const StrategyOptions& options,

@@ -153,8 +153,9 @@ struct StrategyResult {
 /// Recovery is deterministic: same fault schedule => same retry sequence
 /// => bit-identical output at any thread count.
 /// With an active QueryLifecycle (exec/lifecycle.h) the run additionally
-/// polls for cancellation/deadlines at every stage barrier, exchange
-/// boundary, and coordinator charge site — a trip produces a graceful FAIL
+/// polls for cancellation/deadlines before every recovery attempt, after
+/// every exchange step and stage barrier, and at round barriers — the same
+/// points with or without a ResourceMeter. A trip produces a graceful FAIL
 /// with metrics.fail_code kCancelled/kDeadlineExceeded — and honors suspend
 /// requests at regular-shuffle round barriers by returning a partial result
 /// carrying a QueryCheckpoint (see ResumeStrategy).

@@ -52,21 +52,23 @@ struct RunRecord {
   uint64_t injected = 0;
 };
 
-// One strategy run with a private registry + armed meter, an optional
-// fault schedule, and an optionally caller-armed lifecycle. Suspensions
-// are resumed until completion (the served resume loop, inlined).
+// One strategy run with a private registry + armed meter (unless
+// `install_meter` is false), an optional fault schedule, and an optionally
+// caller-armed lifecycle. Suspensions are resumed until completion (the
+// served resume loop, inlined).
 RunRecord RunWith(int threads, const NormalizedQuery& q, ShuffleKind shuffle,
                   JoinKind join, const StrategyOptions& opts,
                   const std::function<void(QueryLifecycle*)>& arm = nullptr,
                   const std::string& faults = "",
-                  bool install_lifecycle = true) {
+                  bool install_lifecycle = true, bool install_meter = true) {
   runtime::SetThreads(threads);
   CounterRegistry registry;
   ResourceMeter meter;
   QueryLifecycle lifecycle;
   if (arm) arm(&lifecycle);
   CounterRegistry* prev_reg = SetActiveCounterRegistry(&registry);
-  ResourceMeter* prev_meter = SetActiveResourceMeter(&meter);
+  ResourceMeter* prev_meter =
+      SetActiveResourceMeter(install_meter ? &meter : nullptr);
   QueryLifecycle* prev_lc =
       install_lifecycle ? SetActiveQueryLifecycle(&lifecycle) : nullptr;
   std::unique_ptr<FaultInjector> injector;
@@ -305,6 +307,50 @@ TEST(LifecycleCancelTest, CancelAtEveryPollPointIsDeterministic) {
       EXPECT_EQ(at8.result.metrics.stages.size(), m.stages.size())
           << context;
       EXPECT_EQ(at8.lifecycle.polls, n) << context;
+    }
+  }
+}
+
+// The poll points do not depend on whether a ResourceMeter is installed:
+// the post-exchange poll runs with or without one, so CancelAfterPolls(n)
+// stops at the same site either way.
+TEST(LifecycleCancelTest, PollSequenceIsTheSameWithAndWithoutAMeter) {
+  WorkloadFactory factory(TinyScale());
+  auto wl = factory.Make(1);
+  ASSERT_TRUE(wl.ok()) << wl.status().ToString();
+  StrategyOptions opts;
+  opts.num_workers = 16;
+
+  for (const auto& [shuffle, join] :
+       {std::pair{ShuffleKind::kRegular, JoinKind::kHashJoin},
+        std::pair{ShuffleKind::kHypercube, JoinKind::kTributary}}) {
+    const std::string name = StrategyName(shuffle, join);
+    RunRecord metered = RunWith(1, wl->normalized, shuffle, join, opts);
+    RunRecord bare = RunWith(1, wl->normalized, shuffle, join, opts, nullptr,
+                             "", /*install_lifecycle=*/true,
+                             /*install_meter=*/false);
+    ASSERT_FALSE(metered.result.metrics.failed) << name;
+    ASSERT_FALSE(bare.result.metrics.failed) << name;
+    EXPECT_EQ(bare.lifecycle.polls, metered.lifecycle.polls) << name;
+
+    for (uint64_t n = 1; n <= metered.lifecycle.polls; ++n) {
+      const std::string context =
+          name + " cancel at poll " + std::to_string(n);
+      auto arm = [&](QueryLifecycle* lc) { lc->CancelAfterPolls(n); };
+      RunRecord with = RunWith(1, wl->normalized, shuffle, join, opts, arm);
+      RunRecord without =
+          RunWith(1, wl->normalized, shuffle, join, opts, arm, "",
+                  /*install_lifecycle=*/true, /*install_meter=*/false);
+      EXPECT_EQ(without.result.metrics.fail_code, StatusCode::kCancelled)
+          << context;
+      EXPECT_EQ(without.lifecycle.polls, with.lifecycle.polls) << context;
+      // The cancel message names the poll site.
+      EXPECT_EQ(without.result.metrics.fail_reason,
+                with.result.metrics.fail_reason)
+          << context;
+      EXPECT_EQ(without.result.metrics.stages.size(),
+                with.result.metrics.stages.size())
+          << context;
     }
   }
 }

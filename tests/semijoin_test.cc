@@ -1,5 +1,7 @@
 #include "plan/semijoin_plan.h"
 
+#include "exec/lifecycle.h"
+#include "fault/fault.h"
 #include "gtest/gtest.h"
 #include "query/parser.h"
 #include "test_util.h"
@@ -109,6 +111,45 @@ TEST(SemijoinPlanTest, MetricsIncludeSemijoinShuffles) {
   ASSERT_TRUE(semi.ok() && plain.ok());
   // The semijoin plan has a longer pipeline: strictly more shuffle steps.
   EXPECT_GT(semi->metrics.shuffles.size(), plain->metrics.shuffles.size());
+}
+
+// A persistently lost exchange FAILs the plan gracefully with the same
+// failure classification as the six strategies.
+TEST(SemijoinPlanTest, ExhaustedExchangeFailsGracefullyAsUnavailable) {
+  QuerySetup s = MakeSetup("P(x,w) :- R(x,y), S(y,z), U(z,w).", 41, 100, 10);
+  StrategyOptions opts;
+  opts.num_workers = 4;
+  auto plan = FaultPlan::Parse("drop@attempt=*");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  FaultInjector injector(std::move(plan).value());
+  FaultInjector* prev = SetActiveFaultInjector(&injector);
+  auto result = RunSemijoinPlan(s.query, s.normalized, opts, nullptr);
+  SetActiveFaultInjector(prev);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->metrics.failed);
+  EXPECT_EQ(result->metrics.fail_code, StatusCode::kUnavailable);
+  EXPECT_NE(result->metrics.fail_reason.find("exchange '"), std::string::npos)
+      << result->metrics.fail_reason;
+  EXPECT_EQ(result->output.NumTuples(), 0u);
+}
+
+// A cancel that lands during a semijoin exchange is a graceful kCancelled
+// FAIL, not an error status.
+TEST(SemijoinPlanTest, CancelDuringExchangeFailsGracefully) {
+  QuerySetup s = MakeSetup("P(x,w) :- R(x,y), S(y,z), U(z,w).", 41, 100, 10);
+  StrategyOptions opts;
+  opts.num_workers = 4;
+  QueryLifecycle lifecycle;
+  lifecycle.CancelAfterPolls(1);
+  QueryLifecycle* prev = SetActiveQueryLifecycle(&lifecycle);
+  auto result = RunSemijoinPlan(s.query, s.normalized, opts, nullptr);
+  SetActiveQueryLifecycle(prev);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->metrics.failed);
+  EXPECT_EQ(result->metrics.fail_code, StatusCode::kCancelled);
+  EXPECT_TRUE(lifecycle.stats().cancelled);
+  EXPECT_EQ(lifecycle.stats().polls, 1u);
+  EXPECT_EQ(result->output.NumTuples(), 0u);
 }
 
 }  // namespace
