@@ -1,17 +1,199 @@
 #ifndef PTP_BENCH_BENCH_COMMON_H_
 #define PTP_BENCH_BENCH_COMMON_H_
 
+#include <time.h>
+
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "ptp/ptp.h"
 
 namespace ptp {
 namespace bench {
+
+/// CPU seconds consumed so far by the calling thread.
+inline double ThreadCpuSeconds() {
+  timespec ts;
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+/// Thread-CPU seconds of one call of `fn`.
+template <typename Fn>
+double TimeOnce(Fn&& fn) {
+  const double t0 = ThreadCpuSeconds();
+  fn();
+  return ThreadCpuSeconds() - t0;
+}
+
+/// Minimum thread-CPU seconds over `reps` calls of `fn`.
+template <typename Fn>
+double TimeMin(int reps, Fn&& fn) {
+  double best = 0;
+  for (int r = 0; r < reps; ++r) {
+    const double elapsed = TimeOnce(fn);
+    if (r == 0 || elapsed < best) best = elapsed;
+  }
+  return best;
+}
+
+/// Flags shared by the off/armed overhead benches
+/// (micro_{fault,profile,resource}_overhead): --json= --twitter-nodes=
+/// --twitter-edges= --reps= and, for the benches that gate, --gate=.
+struct OverheadConfig {
+  std::string json_path;
+  size_t twitter_nodes = 2000;
+  size_t twitter_edges = 20000;
+  int reps = 9;
+  double gate = -1;  // < 0: the bench takes no --gate= flag
+
+  /// Parses flags on top of `c`; an unknown flag prints usage and exits 2.
+  static OverheadConfig FromArgs(int argc, char** argv, OverheadConfig c) {
+    const bool gated = c.gate >= 0;
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      auto eat = [&](const std::string& prefix, auto setter) {
+        if (arg.rfind(prefix, 0) != 0) return false;
+        setter(arg.substr(prefix.size()));
+        return true;
+      };
+      using V = const std::string&;
+      const bool ok =
+          eat("--json=", [&](V v) { c.json_path = v; }) ||
+          eat("--twitter-nodes=",
+              [&](V v) { c.twitter_nodes = std::stoul(v); }) ||
+          eat("--twitter-edges=",
+              [&](V v) { c.twitter_edges = std::stoul(v); }) ||
+          eat("--reps=", [&](V v) { c.reps = std::stoi(v); }) ||
+          (gated && eat("--gate=", [&](V v) { c.gate = std::stod(v); }));
+      if (!ok) {
+        std::cerr << "unknown flag: " << arg
+                  << "\nflags: --json= --twitter-nodes= --twitter-edges= "
+                     "--reps="
+                  << (gated ? " --gate=" : "") << "\n";
+        std::exit(2);
+      }
+    }
+    return c;
+  }
+
+  /// The measured workloads: the configured Twitter graph (Zipf 0.7) and
+  /// Freebase at half scale.
+  WorkloadScale Scale() const {
+    WorkloadScale s;
+    s.twitter.num_nodes = twitter_nodes;
+    s.twitter.num_edges = twitter_edges;
+    s.twitter.zipf_exponent = 0.7;
+    s.freebase_scale = 0.5;
+    return s;
+  }
+};
+
+/// One measured mode of an overhead report.
+struct ModeRow {
+  std::string query;
+  std::string mode;
+  double cpu_seconds = 0;
+  double overhead_vs_off = 0;  // (t - t_off) / t_off
+};
+
+/// Writes the overhead report (BENCH_fault.json, BENCH_profile.json,
+/// BENCH_resource.json): {"config": {...}, "modes": [...], <tail>}, where
+/// `tail` holds the report's remaining top-level fields. Then prints one
+/// line per mode.
+inline void WriteModeReport(const OverheadConfig& c,
+                            const std::vector<ModeRow>& rows,
+                            const std::string& tail) {
+  std::ofstream out(c.json_path);
+  PTP_CHECK(out.good()) << "cannot open " << c.json_path;
+  out << "{\n  \"config\": {\"twitter_nodes\": " << c.twitter_nodes
+      << ", \"twitter_edges\": " << c.twitter_edges << ", \"reps\": " << c.reps;
+  if (c.gate >= 0) out << ", \"gate\": " << c.gate;
+  out << ", \"clock\": \"CLOCK_THREAD_CPUTIME_ID\"},\n  \"modes\": [\n";
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const ModeRow& r = rows[i];
+    out << "    {\"query\": \"" << r.query << "\", \"mode\": \"" << r.mode
+        << "\", \"cpu_seconds\": " << r.cpu_seconds
+        << ", \"overhead_vs_off\": " << r.overhead_vs_off << "}"
+        << (i + 1 < rows.size() ? "," : "") << "\n";
+  }
+  out << "  ],\n  " << tail << "\n}\n";
+  out.close();
+  for (const ModeRow& r : rows) {
+    std::cout << r.query << " " << r.mode << ": " << r.cpu_seconds << "s ("
+              << r.overhead_vs_off * 100 << "% vs off)\n";
+  }
+  std::cout << "report written to " << c.json_path << "\n";
+}
+
+/// What MeasureArmedOverhead found: the fastest window per mode, per run,
+/// and the gated overhead.
+struct ArmedOverhead {
+  double off_seconds = 0;
+  double armed_seconds = 0;
+  /// Median over the interleaved pairs of armed/off, minus one.
+  double overhead = 0;
+};
+
+/// Measures what installing `armed` costs a workload: `off_run()` is one
+/// iteration with no sinks, `armed_run()` one iteration under `armed` (it
+/// may reset the armed sink first). Fast workloads are batched so every
+/// timed window is ~0.3 s: a 3% gate on a 90 ms query needs better than
+/// ±2.7 ms of timing stability, which a single run does not have. Windows
+/// stay moderate in favour of MORE pairs — per-pair ratios on a shared
+/// machine carry a few percent of symmetric noise, and the median over many
+/// pairs converges while two long windows would average fewer samples of
+/// the same disturbance. The modes are interleaved (off, armed, off, armed,
+/// ...): each pair runs back-to-back, so slow machine drift cancels out of
+/// its ratio, and the median discards the pairs a noisy neighbour or
+/// frequency excursion corrupted (min-of-off vs min-of-armed would compare
+/// two different lucky draws instead). `after_pair(r)` runs after pair `r`
+/// (outside the timed windows) for per-rep checks.
+template <typename OffRun, typename ArmedRun, typename AfterPair>
+ArmedOverhead MeasureArmedOverhead(const std::string& id, int reps,
+                                   const runtime::QueryContext& armed,
+                                   OffRun&& off_run, ArmedRun&& armed_run,
+                                   AfterPair&& after_pair) {
+  const double warmup = TimeOnce(off_run);
+  const int inner =
+      warmup > 0 ? std::max(1, static_cast<int>(0.3 / warmup)) : 1;
+  auto window = [inner](auto& run) {
+    return TimeOnce([&] {
+      for (int i = 0; i < inner; ++i) run();
+    });
+  };
+  double best_off = 0;
+  double best_armed = 0;
+  std::vector<double> ratios;
+  for (int r = 0; r < reps; ++r) {
+    const double off = window(off_run);
+    double on = 0;
+    {
+      runtime::ScopedQueryContext sinks(armed);
+      on = window(armed_run);
+    }
+    if (r == 0 || off < best_off) best_off = off;
+    if (r == 0 || on < best_armed) best_armed = on;
+    if (off > 0) ratios.push_back(on / off);
+    after_pair(r);
+  }
+  std::sort(ratios.begin(), ratios.end());
+  const double median_ratio =
+      ratios.empty() ? 1.0 : ratios[ratios.size() / 2];
+  if (!ratios.empty()) {
+    std::cout << id << " pair-ratio spread: min " << ratios.front()
+              << " median " << median_ratio << " max " << ratios.back()
+              << " (" << ratios.size() << " pairs, inner " << inner << ")\n";
+  }
+  return {best_off / inner, best_armed / inner, median_ratio - 1.0};
+}
 
 /// Command-line knobs shared by the figure-reproduction binaries.
 /// All have defaults sized for a single-core laptop run; the paper's
@@ -177,7 +359,9 @@ inline std::vector<StrategyResult> RunSixConfigs(
   // Observability: --trace= records a Chrome trace of the whole run;
   // --json= exports per-strategy EXPLAIN ANALYZE (with the counter registry
   // embedded). Both are off by default, leaving the hot paths on their
-  // single-branch disabled fast path.
+  // single-branch disabled fast path. Every sink a flag arms goes into one
+  // context, installed for the strategy runs only.
+  runtime::QueryContext sinks;
   std::unique_ptr<TraceSession> trace;
   std::unique_ptr<CounterRegistry> counters;
   if (!config.trace_path.empty()) {
@@ -186,11 +370,11 @@ inline std::vector<StrategyResult> RunSixConfigs(
     for (int w = 0; w < config.workers; ++w) {
       trace->NameTrack(WorkerTrack(w), StrFormat("worker %d", w));
     }
-    SetActiveTraceSession(trace.get());
+    sinks.trace = trace.get();
   }
   if (!config.trace_path.empty() || !config.json_path.empty()) {
     counters = std::make_unique<CounterRegistry>();
-    SetActiveCounterRegistry(counters.get());
+    sinks.counters = counters.get();
   }
   // --profile= turns on the query profiler (channel matrices, hot-key
   // sketches, per-worker timelines); when a trace is also active the
@@ -198,7 +382,7 @@ inline std::vector<StrategyResult> RunSixConfigs(
   std::unique_ptr<QueryProfile> profile;
   if (!config.profile_path.empty()) {
     profile = std::make_unique<QueryProfile>();
-    SetActiveQueryProfile(profile.get());
+    sinks.profile = profile.get();
   }
   // --mem-budget= (>= 0) or --feedback-out= arms the byte-accounting meter
   // (docs/OBSERVABILITY.md): deterministic peak/live bytes per strategy,
@@ -207,7 +391,7 @@ inline std::vector<StrategyResult> RunSixConfigs(
   if (config.mem_budget >= 0 || !config.feedback_out.empty()) {
     meter = std::make_unique<ResourceMeter>(
         config.mem_budget > 0 ? static_cast<uint64_t>(config.mem_budget) : 0);
-    SetActiveResourceMeter(meter.get());
+    sinks.meter = meter.get();
   }
   // --feedback-in= replays a recorded feedback store through the advisor:
   // measured cardinalities and skew replace its estimates before it
@@ -241,7 +425,7 @@ inline std::vector<StrategyResult> RunSixConfigs(
     auto plan = FaultPlan::Parse(config.faults);
     PTP_CHECK(plan.ok()) << plan.status().ToString();
     injector = std::make_unique<FaultInjector>(std::move(plan).value());
-    SetActiveFaultInjector(injector.get());
+    sinks.faults = injector.get();
     std::cout << "fault schedule: " << injector->plan().ToString() << "\n\n";
   }
 
@@ -252,7 +436,7 @@ inline std::vector<StrategyResult> RunSixConfigs(
   if (config.deadline_ms > 0) {
     lifecycle = std::make_unique<QueryLifecycle>();
     lifecycle->SetDeadline(config.deadline_ms / 1000.0);
-    SetActiveQueryLifecycle(lifecycle.get());
+    sinks.lifecycle = lifecycle.get();
     std::cout << "deadline: " << config.deadline_ms << " ms\n\n";
   }
 
@@ -270,23 +454,22 @@ inline std::vector<StrategyResult> RunSixConfigs(
               << " probe-side reduction -> "
               << (options.bloom ? "on" : "off") << "\n\n";
   }
-  Result<std::vector<StrategyResult>> run =
-      RunAllStrategies(wl->normalized, options);
-  PTP_CHECK(run.ok()) << run.status().ToString();
-  std::vector<StrategyResult> results = std::move(run).value();
+  std::vector<StrategyResult> results;
+  {
+    runtime::ScopedQueryContext installed(sinks);
+    Result<std::vector<StrategyResult>> run =
+        RunAllStrategies(wl->normalized, options);
+    PTP_CHECK(run.ok()) << run.status().ToString();
+    results = std::move(run).value();
+  }
 
-  if (lifecycle != nullptr) {
-    SetActiveQueryLifecycle(nullptr);
-    if (lifecycle->stats().deadline_exceeded) {
-      std::cout << "deadline exceeded after "
-                << lifecycle->stats().polls << " lifecycle polls\n";
-    }
+  if (lifecycle != nullptr && lifecycle->stats().deadline_exceeded) {
+    std::cout << "deadline exceeded after " << lifecycle->stats().polls
+              << " lifecycle polls\n";
   }
   if (injector != nullptr) {
-    SetActiveFaultInjector(nullptr);
     std::cout << "faults injected: " << injector->injected() << "\n";
   }
-  if (meter != nullptr) SetActiveResourceMeter(nullptr);
   if (!config.feedback_out.empty()) {
     // Merge into an existing store when the file already holds one, so a
     // suite of benches can share a single feedback file.
@@ -311,17 +494,14 @@ inline std::vector<StrategyResult> RunSixConfigs(
     std::cout << "feedback JSON written to " << config.feedback_out << "\n";
   }
   if (profile != nullptr) {
-    SetActiveQueryProfile(nullptr);
     Status s = WriteProfileJsonFile(config.profile_path, *profile);
     PTP_CHECK(s.ok()) << s.ToString();
     std::cout << "profile JSON written to " << config.profile_path << "\n";
   }
   if (trace != nullptr) {
-    SetActiveTraceSession(nullptr);
     Status s = trace->WriteJsonFile(config.trace_path);
     PTP_CHECK(s.ok()) << s.ToString();
   }
-  if (counters != nullptr) SetActiveCounterRegistry(nullptr);
 
   PrintSixConfigFigure(title, results, paper);
   if (trace != nullptr) {

@@ -140,9 +140,10 @@ int main(int argc, char** argv) {
     // Measure every strategy with the memory meter armed (peak bytes land
     // in the feedback records) and record the run into the store.
     ResourceMeter meter;
-    SetActiveResourceMeter(&meter);
-    auto run = RunAllStrategies(wl->normalized, opts);
-    SetActiveResourceMeter(nullptr);
+    auto run = [&] {
+      runtime::ScopedQueryContext sinks({.meter = &meter});
+      return RunAllStrategies(wl->normalized, opts);
+    }();
     PTP_CHECK(run.ok()) << run.status().ToString();
     const std::vector<StrategyResult>& results = run.value();
 

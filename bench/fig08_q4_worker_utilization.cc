@@ -90,12 +90,11 @@ int main(int argc, char** argv) {
   StrategyOptions opts = config.ToOptions();
 
   QueryProfile profile;
-  SetActiveQueryProfile(&profile);
+  runtime::ScopedQueryContext sinks({.profile = &profile});
   auto hc = RunStrategy(wl->normalized, ShuffleKind::kHypercube,
                         JoinKind::kTributary, opts);
   auto br = RunStrategy(wl->normalized, ShuffleKind::kBroadcast,
                         JoinKind::kTributary, opts);
-  SetActiveQueryProfile(nullptr);
   PTP_CHECK(hc.ok() && br.ok());
 
   const size_t workers = static_cast<size_t>(opts.num_workers);

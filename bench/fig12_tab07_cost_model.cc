@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   // is measured as the counter's delta, which exercises the same plumbing
   // EXPLAIN ANALYZE reports and cross-checks TJMetrics.
   CounterRegistry registry;
-  SetActiveCounterRegistry(&registry);
+  runtime::ScopedQueryContext sinks({.counters = &registry});
   uint64_t seeks_mark = 0;
   auto measured_seeks = [&registry, &seeks_mark] {
     const uint64_t now = registry.Value("tj.seeks");
@@ -141,6 +141,5 @@ int main(int argc, char** argv) {
       cross_r);
   std::cout << "shape check: correlations positive and best order never "
                "slower than the random average.\n";
-  SetActiveCounterRegistry(nullptr);
   return cross_r >= 0.9 ? 0 : 1;
 }

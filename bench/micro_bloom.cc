@@ -26,8 +26,6 @@
 // Not a google-benchmark binary: it has its own main (hence the CMake
 // special case) so it can emit the JSON report.
 
-#include <time.h>
-
 #include <algorithm>
 #include <fstream>
 #include <iostream>
@@ -36,30 +34,12 @@
 #include <utility>
 #include <vector>
 
-#include "ptp/ptp.h"
+#include "bench_common.h"
 
 namespace ptp {
 namespace {
 
-double ThreadCpuSeconds() {
-  timespec ts;
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
-// Minimum CPU time over `reps` runs of `fn` (first result kept).
-template <typename Fn>
-double TimeMin(int reps, Fn&& fn) {
-  double best = 0;
-  for (int r = 0; r < reps; ++r) {
-    const double t0 = ThreadCpuSeconds();
-    fn();
-    const double elapsed = ThreadCpuSeconds() - t0;
-    if (r == 0 || elapsed < best) best = elapsed;
-  }
-  return best;
-}
+using bench::TimeMin;
 
 struct QueryRow {
   std::string query;
@@ -269,9 +249,7 @@ int main(int argc, char** argv) {
   for (int i = 0; i < max_pairs; ++i) {
     StrategyResult slot;
     auto once = [&](bool bloom) {
-      const double t0 = ThreadCpuSeconds();
-      slot = run_dense(bloom);
-      const double t = ThreadCpuSeconds() - t0;
+      const double t = bench::TimeOnce([&] { slot = run_dense(bloom); });
       PTP_CHECK(slot.output.data() == canonical.data())
           << "dense: output diverges (bloom=" << bloom << ")";
       return t;

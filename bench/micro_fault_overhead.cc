@@ -17,98 +17,31 @@
 // Not a google-benchmark binary: it has its own main (hence the CMake
 // special case) so it can emit the JSON report.
 
-#include <time.h>
-
-#include <fstream>
-#include <iostream>
 #include <map>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "ptp/ptp.h"
-
-namespace ptp {
-namespace {
-
-double ThreadCpuSeconds() {
-  timespec ts;
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
-// Minimum CPU time over `reps` runs of `fn` (first result kept).
-template <typename Fn>
-double TimeMin(int reps, Fn&& fn) {
-  double best = 0;
-  for (int r = 0; r < reps; ++r) {
-    const double t0 = ThreadCpuSeconds();
-    fn();
-    const double elapsed = ThreadCpuSeconds() - t0;
-    if (r == 0 || elapsed < best) best = elapsed;
-  }
-  return best;
-}
-
-struct ModeRow {
-  std::string query;
-  std::string mode;
-  double cpu_seconds = 0;
-  double overhead_vs_off = 0;  // (t - t_off) / t_off
-};
-
-}  // namespace
-}  // namespace ptp
+#include "bench_common.h"
 
 int main(int argc, char** argv) {
   using namespace ptp;
 
-  std::string json_path = "BENCH_fault.json";
-  size_t twitter_nodes = 2000;
-  size_t twitter_edges = 20000;
-  int reps = 3;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto eat = [&](const std::string& prefix, auto setter) {
-      if (arg.rfind(prefix, 0) == 0) {
-        setter(arg.substr(prefix.size()));
-        return true;
-      }
-      return false;
-    };
-    const bool ok =
-        eat("--json=", [&](const std::string& v) { json_path = v; }) ||
-        eat("--twitter-nodes=",
-            [&](const std::string& v) { twitter_nodes = std::stoul(v); }) ||
-        eat("--twitter-edges=",
-            [&](const std::string& v) { twitter_edges = std::stoul(v); }) ||
-        eat("--reps=", [&](const std::string& v) { reps = std::stoi(v); });
-    if (!ok) {
-      std::cerr << "unknown flag: " << arg
-                << "\nflags: --json= --twitter-nodes= --twitter-edges= "
-                   "--reps=\n";
-      return 2;
-    }
-  }
+  const bench::OverheadConfig c = bench::OverheadConfig::FromArgs(
+      argc, argv, {.json_path = "BENCH_fault.json", .reps = 3});
   // Single-threaded: the measurement is the per-probe CPU cost of the
   // hooks, not parallel speedup.
   runtime::SetThreads(1);
 
-  WorkloadScale scale;
-  scale.twitter.num_nodes = twitter_nodes;
-  scale.twitter.num_edges = twitter_edges;
-  scale.twitter.zipf_exponent = 0.7;
-  scale.freebase_scale = 0.5;
-  WorkloadFactory factory(scale);
+  WorkloadFactory factory(c.Scale());
 
   // `armed` never matches any site (worker 9999 does not exist at W=16);
   // `faulted` is the recoverable mixed schedule the fault-matrix test uses.
   const std::string kArmed = "crash@worker=9999";
   const std::string kFaulted = "crash@worker=5;drop@x=0,p=1,c=2;dup@x=0,p=0";
 
-  std::vector<ModeRow> rows;
+  std::vector<bench::ModeRow> rows;
   std::map<std::string, uint64_t> counters;
 
   for (const auto& [qn, id] :
@@ -125,17 +58,18 @@ int main(int argc, char** argv) {
 
     std::vector<StrategyResult> off_results;
     const double t_off =
-        TimeMin(reps, [&] { off_results = run_once(); });
+        bench::TimeMin(c.reps, [&] { off_results = run_once(); });
 
     auto timed_with_faults = [&](const std::string& schedule,
                                  std::vector<StrategyResult>* results,
-                                 uint64_t* injected) {
+                                 uint64_t* injected,
+                                 CounterRegistry* registry) {
       auto plan = FaultPlan::Parse(schedule);
       PTP_CHECK(plan.ok()) << plan.status().ToString();
       auto injector = std::make_unique<FaultInjector>(std::move(plan).value());
-      FaultInjector* prev = SetActiveFaultInjector(injector.get());
-      const double t = TimeMin(reps, [&] { *results = run_once(); });
-      SetActiveFaultInjector(prev);
+      runtime::ScopedQueryContext sinks(
+          {.counters = registry, .faults = injector.get()});
+      const double t = bench::TimeMin(c.reps, [&] { *results = run_once(); });
       *injected = injector->injected();
       return t;
     };
@@ -143,16 +77,14 @@ int main(int argc, char** argv) {
     std::vector<StrategyResult> armed_results;
     uint64_t armed_injected = 0;
     const double t_armed =
-        timed_with_faults(kArmed, &armed_results, &armed_injected);
+        timed_with_faults(kArmed, &armed_results, &armed_injected, nullptr);
     PTP_CHECK_EQ(armed_injected, 0u) << id << ": armed schedule matched";
 
     CounterRegistry registry;
-    CounterRegistry* prev_registry = SetActiveCounterRegistry(&registry);
     std::vector<StrategyResult> faulted_results;
     uint64_t faulted_injected = 0;
-    const double t_faulted =
-        timed_with_faults(kFaulted, &faulted_results, &faulted_injected);
-    SetActiveCounterRegistry(prev_registry);
+    const double t_faulted = timed_with_faults(kFaulted, &faulted_results,
+                                               &faulted_injected, &registry);
     PTP_CHECK_GT(faulted_injected, 0u) << id << ": no fault injected";
     for (const auto& [name, value] : registry.CounterSnapshot()) {
       if (name.rfind("fault.", 0) == 0 || name.rfind("retry.", 0) == 0) {
@@ -180,31 +112,12 @@ int main(int argc, char** argv) {
     rows.push_back({id, "faulted", t_faulted, overhead(t_faulted)});
   }
 
-  std::ofstream out(json_path);
-  PTP_CHECK(out.good()) << "cannot open " << json_path;
-  out << "{\n  \"config\": {\"twitter_nodes\": " << twitter_nodes
-      << ", \"twitter_edges\": " << twitter_edges << ", \"reps\": " << reps
-      << ", \"clock\": \"CLOCK_THREAD_CPUTIME_ID\"},\n  \"modes\": [\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const ModeRow& r = rows[i];
-    out << "    {\"query\": \"" << r.query << "\", \"mode\": \"" << r.mode
-        << "\", \"cpu_seconds\": " << r.cpu_seconds
-        << ", \"overhead_vs_off\": " << r.overhead_vs_off << "}"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n  \"counters\": {";
-  bool first = true;
+  std::string tail = "\"counters\": {";
   for (const auto& [name, value] : counters) {
-    out << (first ? "" : ", ") << "\"" << name << "\": " << value;
-    first = false;
+    if (tail.back() != '{') tail += ", ";
+    tail += StrFormat("\"%s\": %llu", name.c_str(),
+                      static_cast<unsigned long long>(value));
   }
-  out << "}\n}\n";
-  out.close();
-
-  for (const ModeRow& r : rows) {
-    std::cout << r.query << " " << r.mode << ": " << r.cpu_seconds << "s ("
-              << r.overhead_vs_off * 100 << "% vs off)\n";
-  }
-  std::cout << "report written to " << json_path << "\n";
+  bench::WriteModeReport(c, rows, tail + "}");
   return 0;
 }

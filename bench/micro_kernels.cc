@@ -15,8 +15,6 @@
 // Not a google-benchmark binary: it has its own main (hence the CMake
 // special case) so it can emit the JSON report the CI smoke step asserts on.
 
-#include <time.h>
-
 #include <algorithm>
 #include <array>
 #include <cstdint>
@@ -29,6 +27,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "bench_common.h"
 #include "common/hash.h"
 #include "common/logging.h"
 #include "data/workloads.h"
@@ -41,12 +40,7 @@
 namespace ptp {
 namespace {
 
-double ThreadCpuSeconds() {
-  timespec ts;
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-}
+using bench::TimeMin;
 
 // Same key hashing the local join operators use.
 uint64_t HashKey(const Value* row, const std::vector<int>& cols) {
@@ -279,19 +273,6 @@ struct KernelRow {
   double new_cpu_seconds;
 };
 
-// Minimum CPU time over `reps` runs of `fn` (first result kept).
-template <typename Fn>
-double TimeMin(int reps, Fn&& fn) {
-  double best = 0;
-  for (int r = 0; r < reps; ++r) {
-    const double t0 = ThreadCpuSeconds();
-    fn();
-    const double elapsed = ThreadCpuSeconds() - t0;
-    if (r == 0 || elapsed < best) best = elapsed;
-  }
-  return best;
-}
-
 // First pair of atoms with a shared variable — the workload's first binary
 // join, which is what the local hash-join kernel runs on.
 void FirstJoinPair(const NormalizedQuery& q, const Relation** build,
@@ -424,12 +405,13 @@ int main(int argc, char** argv) {
       SeedSortRowsLex(&seed_sorted, frag.arity());
     });
     CounterRegistry registry;
-    CounterRegistry* prev = SetActiveCounterRegistry(&registry);
-    const double radix_sort = TimeMin(reps, [&] {
-      radix_sorted = unsorted;
-      SortRowsLex(&radix_sorted, frag.arity());
-    });
-    SetActiveCounterRegistry(prev);
+    const double radix_sort = [&] {
+      runtime::ScopedQueryContext sinks({.counters = &registry});
+      return TimeMin(reps, [&] {
+        radix_sorted = unsorted;
+        SortRowsLex(&radix_sorted, frag.arity());
+      });
+    }();
     PTP_CHECK(seed_sorted == radix_sorted)
         << id << ": radix sort output diverges from std::sort";
     rows.push_back({"fragment_sort", id, seed_sort, radix_sort});

@@ -10,103 +10,38 @@
 //   profiled - QueryProfile installed, full matrices + sketches recorded.
 //
 // Times are per-thread CPU seconds (CLOCK_THREAD_CPUTIME_ID) with the
-// runtime pinned to one thread; fast queries batch several runs per timed
-// window. The modes are interleaved (off, profiled, off, profiled, ...)
-// and the gated overhead is the median of the per-pair on/off ratios, so
-// slow clock/thermal drift and the occasional corrupted rep cancel out
-// instead of biasing the result (reported cpu_seconds are min over
-// --reps). Both modes must
-// produce bit-identical outputs per strategy (the determinism contract).
+// runtime pinned to one thread, measured by bench::MeasureArmedOverhead:
+// fast queries batch several runs per timed window, the modes are
+// interleaved (off, profiled, off, profiled, ...) and the gated overhead
+// is the median of the per-pair on/off ratios (reported cpu_seconds are
+// min over --reps). Both modes must produce bit-identical outputs per
+// strategy (the determinism contract).
 // Writes BENCH_profile.json and exits nonzero when the profiled overhead
 // exceeds --gate (default 3%); CI loosens the gate under sanitizers.
 //
 // Not a google-benchmark binary: it has its own main (hence the CMake
 // special case) so it can emit the JSON report.
 
-#include <time.h>
-
-#include <algorithm>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "ptp/ptp.h"
-
-namespace ptp {
-namespace {
-
-double ThreadCpuSeconds() {
-  timespec ts;
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
-// One timed call of `fn`.
-template <typename Fn>
-double TimeOnce(Fn&& fn) {
-  const double t0 = ThreadCpuSeconds();
-  fn();
-  return ThreadCpuSeconds() - t0;
-}
-
-struct ModeRow {
-  std::string query;
-  std::string mode;
-  double cpu_seconds = 0;
-  double overhead_vs_off = 0;  // (t - t_off) / t_off
-};
-
-}  // namespace
-}  // namespace ptp
+#include "bench_common.h"
 
 int main(int argc, char** argv) {
   using namespace ptp;
 
-  std::string json_path = "BENCH_profile.json";
-  size_t twitter_nodes = 2000;
-  size_t twitter_edges = 20000;
-  int reps = 9;
-  double gate = 0.03;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto eat = [&](const std::string& prefix, auto setter) {
-      if (arg.rfind(prefix, 0) == 0) {
-        setter(arg.substr(prefix.size()));
-        return true;
-      }
-      return false;
-    };
-    const bool ok =
-        eat("--json=", [&](const std::string& v) { json_path = v; }) ||
-        eat("--twitter-nodes=",
-            [&](const std::string& v) { twitter_nodes = std::stoul(v); }) ||
-        eat("--twitter-edges=",
-            [&](const std::string& v) { twitter_edges = std::stoul(v); }) ||
-        eat("--reps=", [&](const std::string& v) { reps = std::stoi(v); }) ||
-        eat("--gate=", [&](const std::string& v) { gate = std::stod(v); });
-    if (!ok) {
-      std::cerr << "unknown flag: " << arg
-                << "\nflags: --json= --twitter-nodes= --twitter-edges= "
-                   "--reps= --gate=\n";
-      return 2;
-    }
-  }
+  const bench::OverheadConfig c = bench::OverheadConfig::FromArgs(
+      argc, argv, {.json_path = "BENCH_profile.json", .gate = 0.03});
   // Single-threaded: the measurement is the per-tuple/per-hook CPU cost of
   // the profiler, not parallel speedup.
   runtime::SetThreads(1);
 
-  WorkloadScale scale;
-  scale.twitter.num_nodes = twitter_nodes;
-  scale.twitter.num_edges = twitter_edges;
-  scale.twitter.zipf_exponent = 0.7;
-  scale.freebase_scale = 0.5;
-  WorkloadFactory factory(scale);
+  WorkloadFactory factory(c.Scale());
 
-  std::vector<ModeRow> rows;
+  std::vector<bench::ModeRow> rows;
   double worst_overhead = 0;
   std::string worst_query;
 
@@ -122,57 +57,17 @@ int main(int argc, char** argv) {
       return std::move(results).value();
     };
 
-    // Fast queries get batched so every timed window is long enough that
-    // scheduler noise can't masquerade as profiler overhead: a 3% gate on
-    // a 90 ms query needs better than +-2.7 ms of timing stability, which
-    // a single run does not have. Windows are kept moderate (~0.3 s) in
-    // favour of MORE pairs: per-pair ratios on a shared machine carry a
-    // few percent of symmetric noise, and the median over many pairs
-    // converges while two long windows would just average fewer samples
-    // of the same disturbance.
     std::vector<StrategyResult> off_results;
-    const double warmup = TimeOnce([&] { off_results = run_once(); });
-    const int inner =
-        warmup > 0 ? std::max(1, static_cast<int>(0.3 / warmup)) : 1;
-
-    // Interleave the modes rep by rep: each off/profiled pair runs
-    // back-to-back, so any slow machine drift cancels out of that pair's
-    // ratio, and the median over pairs discards the reps a noisy
-    // neighbour or frequency excursion corrupted (min-of-off vs
-    // min-of-on would compare two different lucky draws instead).
     std::vector<StrategyResult> on_results;
     QueryProfile profile;
-    double t_off = 0;
-    double t_on = 0;
-    std::vector<double> ratios;
-    ratios.reserve(static_cast<size_t>(reps));
-    for (int r = 0; r < reps; ++r) {
-      const double off_elapsed = TimeOnce([&] {
-        for (int i = 0; i < inner; ++i) off_results = run_once();
-      });
-      QueryProfile* prev = SetActiveQueryProfile(&profile);
-      const double on_elapsed = TimeOnce([&] {
-        for (int i = 0; i < inner; ++i) {
+    const bench::ArmedOverhead m = bench::MeasureArmedOverhead(
+        id, c.reps, {.profile = &profile},
+        [&] { off_results = run_once(); },
+        [&] {
           profile.Clear();
           on_results = run_once();
-        }
-      });
-      SetActiveQueryProfile(prev);
-      if (r == 0 || off_elapsed < t_off) t_off = off_elapsed;
-      if (r == 0 || on_elapsed < t_on) t_on = on_elapsed;
-      if (off_elapsed > 0) ratios.push_back(on_elapsed / off_elapsed);
-    }
-    t_off /= inner;
-    t_on /= inner;
-    std::sort(ratios.begin(), ratios.end());
-    const double median_ratio =
-        ratios.empty() ? 1.0 : ratios[ratios.size() / 2];
-    if (!ratios.empty()) {
-      std::cout << id << " pair-ratio spread: min " << ratios.front()
-                << " median " << median_ratio << " max " << ratios.back()
-                << " (" << ratios.size() << " pairs, inner " << inner
-                << ")\n";
-    }
+        },
+        [](int) {});
 
     // Profiling must observe, not perturb: bit-identical outputs, and the
     // profile must actually contain the sweep it watched.
@@ -189,39 +84,19 @@ int main(int argc, char** argv) {
           << id << "/" << section.name << ": no stage timeline recorded";
     }
 
-    const double overhead = median_ratio - 1.0;
-    rows.push_back({id, "off", t_off, 0});
-    rows.push_back({id, "profiled", t_on, overhead});
-    if (overhead > worst_overhead) {
-      worst_overhead = overhead;
+    rows.push_back({id, "off", m.off_seconds, 0});
+    rows.push_back({id, "profiled", m.armed_seconds, m.overhead});
+    if (m.overhead > worst_overhead) {
+      worst_overhead = m.overhead;
       worst_query = id;
     }
   }
 
-  std::ofstream out(json_path);
-  PTP_CHECK(out.good()) << "cannot open " << json_path;
-  out << "{\n  \"config\": {\"twitter_nodes\": " << twitter_nodes
-      << ", \"twitter_edges\": " << twitter_edges << ", \"reps\": " << reps
-      << ", \"gate\": " << gate
-      << ", \"clock\": \"CLOCK_THREAD_CPUTIME_ID\"},\n  \"modes\": [\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const ModeRow& r = rows[i];
-    out << "    {\"query\": \"" << r.query << "\", \"mode\": \"" << r.mode
-        << "\", \"cpu_seconds\": " << r.cpu_seconds
-        << ", \"overhead_vs_off\": " << r.overhead_vs_off << "}"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n  \"worst_overhead\": " << worst_overhead << "\n}\n";
-  out.close();
-
-  for (const ModeRow& r : rows) {
-    std::cout << r.query << " " << r.mode << ": " << r.cpu_seconds << "s ("
-              << r.overhead_vs_off * 100 << "% vs off)\n";
-  }
-  std::cout << "report written to " << json_path << "\n";
-  if (worst_overhead > gate) {
+  bench::WriteModeReport(
+      c, rows, StrFormat("\"worst_overhead\": %g", worst_overhead));
+  if (worst_overhead > c.gate) {
     std::cerr << "FAIL: profiled overhead " << worst_overhead * 100
-              << "% on " << worst_query << " exceeds gate " << gate * 100
+              << "% on " << worst_query << " exceeds gate " << c.gate * 100
               << "%\n";
     return 1;
   }

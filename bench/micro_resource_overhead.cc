@@ -9,11 +9,11 @@
 //   off   - no meter installed (the production fast path),
 //   armed - ResourceMeter installed, full per-stage/per-worker accounting.
 //
-// Methodology is shared with micro_profile_overhead: per-thread CPU
-// seconds (CLOCK_THREAD_CPUTIME_ID) with the runtime pinned to one thread,
-// fast queries batched into ~0.3 s windows, modes interleaved rep by rep,
-// and the gated overhead is the median of the per-pair armed/off ratios so
-// clock drift and corrupted reps cancel instead of biasing the result.
+// Methodology is shared with micro_profile_overhead through
+// bench::MeasureArmedOverhead: per-thread CPU seconds
+// (CLOCK_THREAD_CPUTIME_ID) with the runtime pinned to one thread, fast
+// queries batched into ~0.3 s windows, modes interleaved rep by rep, and
+// the gated overhead is the median of the per-pair armed/off ratios.
 // Both modes must produce bit-identical outputs per strategy, and the
 // armed mode's peak bytes must be identical across reps (the determinism
 // contract). Writes BENCH_resource.json and exits nonzero when the armed
@@ -23,88 +23,25 @@
 // Not a google-benchmark binary: it has its own main (hence the CMake
 // special case) so it can emit the JSON report.
 
-#include <time.h>
-
-#include <algorithm>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "ptp/ptp.h"
-
-namespace ptp {
-namespace {
-
-double ThreadCpuSeconds() {
-  timespec ts;
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
-template <typename Fn>
-double TimeOnce(Fn&& fn) {
-  const double t0 = ThreadCpuSeconds();
-  fn();
-  return ThreadCpuSeconds() - t0;
-}
-
-struct ModeRow {
-  std::string query;
-  std::string mode;
-  double cpu_seconds = 0;
-  double overhead_vs_off = 0;  // (t - t_off) / t_off
-};
-
-}  // namespace
-}  // namespace ptp
+#include "bench_common.h"
 
 int main(int argc, char** argv) {
   using namespace ptp;
 
-  std::string json_path = "BENCH_resource.json";
-  size_t twitter_nodes = 2000;
-  size_t twitter_edges = 20000;
-  int reps = 9;
-  double gate = 0.02;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto eat = [&](const std::string& prefix, auto setter) {
-      if (arg.rfind(prefix, 0) == 0) {
-        setter(arg.substr(prefix.size()));
-        return true;
-      }
-      return false;
-    };
-    const bool ok =
-        eat("--json=", [&](const std::string& v) { json_path = v; }) ||
-        eat("--twitter-nodes=",
-            [&](const std::string& v) { twitter_nodes = std::stoul(v); }) ||
-        eat("--twitter-edges=",
-            [&](const std::string& v) { twitter_edges = std::stoul(v); }) ||
-        eat("--reps=", [&](const std::string& v) { reps = std::stoi(v); }) ||
-        eat("--gate=", [&](const std::string& v) { gate = std::stod(v); });
-    if (!ok) {
-      std::cerr << "unknown flag: " << arg
-                << "\nflags: --json= --twitter-nodes= --twitter-edges= "
-                   "--reps= --gate=\n";
-      return 2;
-    }
-  }
+  const bench::OverheadConfig c = bench::OverheadConfig::FromArgs(
+      argc, argv, {.json_path = "BENCH_resource.json", .gate = 0.02});
   // Single-threaded: the measurement is the per-hook CPU cost of the
   // meter, not parallel speedup.
   runtime::SetThreads(1);
 
-  WorkloadScale scale;
-  scale.twitter.num_nodes = twitter_nodes;
-  scale.twitter.num_edges = twitter_edges;
-  scale.twitter.zipf_exponent = 0.7;
-  scale.freebase_scale = 0.5;
-  WorkloadFactory factory(scale);
+  WorkloadFactory factory(c.Scale());
 
-  std::vector<ModeRow> rows;
+  std::vector<bench::ModeRow> rows;
   double worst_overhead = 0;
   std::string worst_query;
 
@@ -120,60 +57,31 @@ int main(int argc, char** argv) {
       return std::move(results).value();
     };
 
-    // Batch fast queries into ~0.3 s windows and take the median over many
-    // interleaved off/armed pairs — see micro_profile_overhead.cc for why
-    // this beats min-vs-min on a shared machine.
     std::vector<StrategyResult> off_results;
-    const double warmup = TimeOnce([&] { off_results = run_once(); });
-    const int inner =
-        warmup > 0 ? std::max(1, static_cast<int>(0.3 / warmup)) : 1;
-
     std::vector<StrategyResult> on_results;
     ResourceMeter meter;
     std::vector<uint64_t> first_peaks;
-    double t_off = 0;
-    double t_on = 0;
-    std::vector<double> ratios;
-    ratios.reserve(static_cast<size_t>(reps));
-    for (int r = 0; r < reps; ++r) {
-      const double off_elapsed = TimeOnce([&] {
-        for (int i = 0; i < inner; ++i) off_results = run_once();
-      });
-      ResourceMeter* prev = SetActiveResourceMeter(&meter);
-      const double on_elapsed = TimeOnce([&] {
-        for (int i = 0; i < inner; ++i) {
+    const bench::ArmedOverhead m = bench::MeasureArmedOverhead(
+        id, c.reps, {.meter = &meter},
+        [&] { off_results = run_once(); },
+        [&] {
           meter.Clear();
           on_results = run_once();
-        }
-      });
-      SetActiveResourceMeter(prev);
-      if (r == 0 || off_elapsed < t_off) t_off = off_elapsed;
-      if (r == 0 || on_elapsed < t_on) t_on = on_elapsed;
-      if (off_elapsed > 0) ratios.push_back(on_elapsed / off_elapsed);
-
-      // Byte accounting must be a pure function of the run: every rep's
-      // per-strategy peaks must match the first rep's bit for bit.
-      std::vector<uint64_t> peaks;
-      for (const QueryMemory& q : meter.Snapshot()) {
-        peaks.push_back(q.peak_bytes);
-      }
-      if (r == 0) {
-        first_peaks = peaks;
-      } else {
-        PTP_CHECK(peaks == first_peaks) << id << ": peak bytes drift";
-      }
-    }
-    t_off /= inner;
-    t_on /= inner;
-    std::sort(ratios.begin(), ratios.end());
-    const double median_ratio =
-        ratios.empty() ? 1.0 : ratios[ratios.size() / 2];
-    if (!ratios.empty()) {
-      std::cout << id << " pair-ratio spread: min " << ratios.front()
-                << " median " << median_ratio << " max " << ratios.back()
-                << " (" << ratios.size() << " pairs, inner " << inner
-                << ")\n";
-    }
+        },
+        [&](int r) {
+          // Byte accounting must be a pure function of the run: every
+          // rep's per-strategy peaks must match the first rep's bit for
+          // bit.
+          std::vector<uint64_t> peaks;
+          for (const QueryMemory& q : meter.Snapshot()) {
+            peaks.push_back(q.peak_bytes);
+          }
+          if (r == 0) {
+            first_peaks = peaks;
+          } else {
+            PTP_CHECK(peaks == first_peaks) << id << ": peak bytes drift";
+          }
+        });
 
     // Metering must observe, not perturb: bit-identical outputs, and the
     // meter must actually have accounted the sweep it watched.
@@ -191,39 +99,19 @@ int main(int argc, char** argv) {
     PTP_CHECK_EQ(meter.Snapshot().size(), on_results.size())
         << id << ": meter sections != strategies run";
 
-    const double overhead = median_ratio - 1.0;
-    rows.push_back({id, "off", t_off, 0});
-    rows.push_back({id, "armed", t_on, overhead});
-    if (overhead > worst_overhead) {
-      worst_overhead = overhead;
+    rows.push_back({id, "off", m.off_seconds, 0});
+    rows.push_back({id, "armed", m.armed_seconds, m.overhead});
+    if (m.overhead > worst_overhead) {
+      worst_overhead = m.overhead;
       worst_query = id;
     }
   }
 
-  std::ofstream out(json_path);
-  PTP_CHECK(out.good()) << "cannot open " << json_path;
-  out << "{\n  \"config\": {\"twitter_nodes\": " << twitter_nodes
-      << ", \"twitter_edges\": " << twitter_edges << ", \"reps\": " << reps
-      << ", \"gate\": " << gate
-      << ", \"clock\": \"CLOCK_THREAD_CPUTIME_ID\"},\n  \"modes\": [\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const ModeRow& r = rows[i];
-    out << "    {\"query\": \"" << r.query << "\", \"mode\": \"" << r.mode
-        << "\", \"cpu_seconds\": " << r.cpu_seconds
-        << ", \"overhead_vs_off\": " << r.overhead_vs_off << "}"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n  \"worst_overhead\": " << worst_overhead << "\n}\n";
-  out.close();
-
-  for (const ModeRow& r : rows) {
-    std::cout << r.query << " " << r.mode << ": " << r.cpu_seconds << "s ("
-              << r.overhead_vs_off * 100 << "% vs off)\n";
-  }
-  std::cout << "report written to " << json_path << "\n";
-  if (worst_overhead > gate) {
+  bench::WriteModeReport(
+      c, rows, StrFormat("\"worst_overhead\": %g", worst_overhead));
+  if (worst_overhead > c.gate) {
     std::cerr << "FAIL: armed overhead " << worst_overhead * 100 << "% on "
-              << worst_query << " exceeds gate " << gate * 100 << "%\n";
+              << worst_query << " exceeds gate " << c.gate * 100 << "%\n";
     return 1;
   }
   return 0;

@@ -22,7 +22,7 @@ void BM_Baseline(benchmark::State& state) {
 BENCHMARK(BM_Baseline);
 
 void BM_SpanDisabled(benchmark::State& state) {
-  SetActiveTraceSession(nullptr);
+  runtime::ScopedQueryContext detached{runtime::QueryContext{}};
   for (auto _ : state) {
     Span span("bench.span", kCoordinatorTrack);
     benchmark::DoNotOptimize(&span);
@@ -32,7 +32,7 @@ BENCHMARK(BM_SpanDisabled);
 
 void BM_SpanEnabled(benchmark::State& state) {
   TraceSession session;
-  SetActiveTraceSession(&session);
+  runtime::ScopedQueryContext sinks({.trace = &session});
   size_t iterations = 0;
   for (auto _ : state) {
     {
@@ -43,12 +43,11 @@ void BM_SpanEnabled(benchmark::State& state) {
     // a multi-gigabyte vector.
     if (++iterations % (1 << 16) == 0) session.Clear();
   }
-  SetActiveTraceSession(nullptr);
 }
 BENCHMARK(BM_SpanEnabled);
 
 void BM_CounterDisabled(benchmark::State& state) {
-  SetActiveCounterRegistry(nullptr);
+  runtime::ScopedQueryContext detached{runtime::QueryContext{}};
   for (auto _ : state) {
     // The idiom every instrumentation site uses.
     if (CounterRegistry* reg = ActiveCounterRegistry()) {
@@ -60,25 +59,23 @@ BENCHMARK(BM_CounterDisabled);
 
 void BM_CounterEnabledByName(benchmark::State& state) {
   CounterRegistry registry;
-  SetActiveCounterRegistry(&registry);
+  runtime::ScopedQueryContext sinks({.counters = &registry});
   for (auto _ : state) {
     if (CounterRegistry* reg = ActiveCounterRegistry()) {
       reg->Add("bench.counter", 1);
     }
   }
-  SetActiveCounterRegistry(nullptr);
 }
 BENCHMARK(BM_CounterEnabledByName);
 
 void BM_CounterEnabledCachedCell(benchmark::State& state) {
   CounterRegistry registry;
-  SetActiveCounterRegistry(&registry);
+  runtime::ScopedQueryContext sinks({.counters = &registry});
   // Hot loops should hoist the name lookup: Counter() returns a stable cell.
   uint64_t* cell = registry.Counter("bench.counter");
   for (auto _ : state) {
     benchmark::DoNotOptimize(++*cell);
   }
-  SetActiveCounterRegistry(nullptr);
 }
 BENCHMARK(BM_CounterEnabledCachedCell);
 

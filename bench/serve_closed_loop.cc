@@ -117,12 +117,10 @@ SoloRun RunSolo(const Workload& wl, const std::string& strategy, bool bloom,
   opts.bloom = bloom;
   CounterRegistry counters;
   ResourceMeter meter(query_budget_bytes, /*hard=*/true);
-  CounterRegistry* prev_reg = SetActiveCounterRegistry(&counters);
-  ResourceMeter* prev_meter = SetActiveResourceMeter(&meter);
-  Result<StrategyResult> result =
-      RunStrategy(wl.normalized, shuffle, join, opts);
-  SetActiveResourceMeter(prev_meter);
-  SetActiveCounterRegistry(prev_reg);
+  Result<StrategyResult> result = [&] {
+    runtime::ScopedQueryContext sinks({.counters = &counters, .meter = &meter});
+    return RunStrategy(wl.normalized, shuffle, join, opts);
+  }();
   PTP_CHECK(result.ok()) << wl.id << ": " << result.status().ToString();
   SoloRun solo;
   solo.metrics = result->metrics;

@@ -30,8 +30,6 @@
 // Not a google-benchmark binary: it has its own main (hence the CMake
 // else-branch) so it can drive the server and emit the JSON report.
 
-#include <time.h>
-
 #include <algorithm>
 #include <fstream>
 #include <iostream>
@@ -40,7 +38,7 @@
 #include <utility>
 #include <vector>
 
-#include "ptp/ptp.h"
+#include "bench_common.h"
 
 namespace ptp {
 namespace {
@@ -61,19 +59,7 @@ struct Config {
   std::string metrics_path;  // Prometheus exposition ("" = off)
 };
 
-double ThreadCpuSeconds() {
-  timespec ts;
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
-template <typename Fn>
-double TimeOnce(Fn&& fn) {
-  const double t0 = ThreadCpuSeconds();
-  fn();
-  return ThreadCpuSeconds() - t0;
-}
+using bench::TimeOnce;
 
 double Percentile(std::vector<double> sorted, double q) {
   if (sorted.empty()) return 0;
@@ -438,12 +424,10 @@ int main(int argc, char** argv) {
         });
       };
       auto measure_on = [&] {
-        QueryLifecycle* prev = SetActiveQueryLifecycle(&lifecycle);
-        const double elapsed = TimeOnce([&] {
+        runtime::ScopedQueryContext sinks({.lifecycle = &lifecycle});
+        return TimeOnce([&] {
           for (int i = 0; i < inner; ++i) on_results = run_once();
         });
-        SetActiveQueryLifecycle(prev);
-        return elapsed;
       };
       // off / armed / off: the sandwich cancels linear load drift (the
       // armed window is compared against the MEAN of its neighbours) and

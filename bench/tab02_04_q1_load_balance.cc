@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
                "1.05; broadcast 1.0)\n\n";
 
   QueryProfile profile;
-  SetActiveQueryProfile(&profile);
+  runtime::ScopedQueryContext sinks({.profile = &profile});
   auto rs = RunStrategy(wl->normalized, ShuffleKind::kRegular,
                         JoinKind::kHashJoin, opts);
   PTP_CHECK(rs.ok());
@@ -116,7 +116,6 @@ int main(int argc, char** argv) {
   auto br = RunStrategy(wl->normalized, ShuffleKind::kBroadcast,
                         JoinKind::kHashJoin, opts);
   PTP_CHECK(br.ok());
-  SetActiveQueryProfile(nullptr);
 
   PrintShuffleTable("Table 2: regular shuffles in Q1", rs->metrics);
   PrintShuffleTable("Table 3: HyperCube shuffles in Q1", hc->metrics);

@@ -71,8 +71,7 @@ int main() {
   for (int w = 0; w < 16; ++w) {
     trace.NameTrack(WorkerTrack(w), StrFormat("worker %d", w));
   }
-  SetActiveTraceSession(&trace);
-  SetActiveCounterRegistry(&counters);
+  runtime::ScopedQueryContext sinks({.counters = &counters, .trace = &trace});
 
   StrategyOptions opts;
   opts.num_workers = 16;
@@ -92,8 +91,6 @@ int main() {
       return 1;
     }
   }
-  SetActiveTraceSession(nullptr);
-  SetActiveCounterRegistry(nullptr);
 
   std::cout << "counters collected while tracing:\n" << counters.ToString();
   Status written = trace.WriteJsonFile("quickstart.trace.json");

@@ -45,9 +45,9 @@ Severity SetMinLogSeverity(Severity severity);
 Severity MinLogSeverity();
 
 /// Observer for emitted log lines (lines below MinLogSeverity never reach
-/// it). The active TraceSession installs one so log lines show up as
-/// instant events on the trace timeline; nullptr uninstalls. Returns the
-/// previous sink.
+/// it). The first TraceSession registers one so log lines show up as
+/// instant events on the active session's timeline; nullptr uninstalls.
+/// Returns the previous sink.
 using LogSink = void (*)(Severity severity, const std::string& message);
 LogSink SetLogSink(LogSink sink);
 

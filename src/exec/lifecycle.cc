@@ -10,14 +10,6 @@
 namespace ptp {
 namespace {
 
-// Thread-propagated context slot (runtime/thread_pool.h), same pattern as
-// the five obs sinks: per coordinator thread, flowing to pool workers per
-// batch.
-int LifecycleSlot() {
-  static const int slot = runtime::AllocateContextSlot();
-  return slot;
-}
-
 // Event counters land in the registry only on paths that already diverge
 // from a clean run (a cancelled/expired query fails; clean runs must stay
 // counter-identical with or without the lifecycle armed).
@@ -32,15 +24,6 @@ void BookEvent(const char* counter, std::string_view name,
 }
 
 }  // namespace
-
-QueryLifecycle* SetActiveQueryLifecycle(QueryLifecycle* lifecycle) {
-  return static_cast<QueryLifecycle*>(
-      runtime::SetContextSlot(LifecycleSlot(), lifecycle));
-}
-
-QueryLifecycle* ActiveQueryLifecycle() {
-  return static_cast<QueryLifecycle*>(runtime::ContextSlot(LifecycleSlot()));
-}
 
 void QueryLifecycle::Cancel(std::string reason) {
   std::lock_guard<std::mutex> lock(mu_);

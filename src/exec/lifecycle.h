@@ -9,6 +9,7 @@
 
 #include "common/status.h"
 #include "common/timer.h"
+#include "runtime/thread_pool.h"
 
 namespace ptp {
 
@@ -33,10 +34,10 @@ struct LifecycleStats {
   bool deadline_exceeded = false;
 };
 
-/// Per-query cancel token + deadline + suspend request, installed through a
-/// thread-propagated runtime::ContextSlot exactly like the obs sinks — pool
-/// workers and the coordinator observe the submitting query's lifecycle, a
-/// concurrently-served neighbour never does.
+/// Per-query cancel token + deadline + suspend request, installed as the
+/// `lifecycle` field of a runtime::ScopedQueryContext exactly like the obs
+/// sinks — pool workers and the coordinator observe the submitting query's
+/// lifecycle, a concurrently-served neighbour never does.
 ///
 /// The control surface (Cancel, SetDeadline, RequestSuspend) is thread-safe
 /// and may be driven from any thread (e.g. QueryServer::Cancel from a client
@@ -122,10 +123,11 @@ class QueryLifecycle {
   uint64_t suspend_checks_ = 0;
 };
 
-/// Installs `lifecycle` as the calling thread's active lifecycle (propagated
-/// to pool workers per batch); returns the previous one. nullptr = none.
-QueryLifecycle* SetActiveQueryLifecycle(QueryLifecycle* lifecycle);
-QueryLifecycle* ActiveQueryLifecycle();
+/// The calling thread's active lifecycle (propagated to pool workers per
+/// batch), or nullptr when none is installed.
+inline QueryLifecycle* ActiveQueryLifecycle() {
+  return runtime::CurrentQueryContext().lifecycle;
+}
 
 /// The "lifecycle:" section of EXPLAIN ANALYZE (two-space indented lines).
 std::string LifecycleSectionText(const LifecycleStats& stats);

@@ -175,13 +175,6 @@ Status ParseEvent(std::string_view event, FaultPlan* plan) {
   return Status::OK();
 }
 
-// Thread-propagated context slot (runtime/thread_pool.h): per coordinator
-// thread, flowing to pool workers per batch.
-int InjectorSlot() {
-  static const int slot = runtime::AllocateContextSlot();
-  return slot;
-}
-
 }  // namespace
 
 const char* FaultKindToString(FaultKind kind) {
@@ -409,15 +402,6 @@ void FaultInjector::Book(const FaultSpec& spec, std::string_view label,
                                                       : kCoordinatorTrack;
     trace->Instant("fault", detail, track);
   }
-}
-
-FaultInjector* SetActiveFaultInjector(FaultInjector* injector) {
-  return static_cast<FaultInjector*>(
-      runtime::SetContextSlot(InjectorSlot(), injector));
-}
-
-FaultInjector* ActiveFaultInjector() {
-  return static_cast<FaultInjector*>(runtime::ContextSlot(InjectorSlot()));
 }
 
 }  // namespace ptp

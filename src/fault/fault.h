@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "runtime/thread_pool.h"
 
 namespace ptp {
 
@@ -149,12 +150,11 @@ class FaultInjector {
   std::atomic<uint64_t> injected_{0};
 };
 
-/// Installs `injector` as the calling thread's fault source (nullptr disables
-/// injection — the per-site hook cost is then a single nullptr branch, like
-/// tracing) and returns the previous injector.
-FaultInjector* SetActiveFaultInjector(FaultInjector* injector);
-/// The active injector, or nullptr when fault injection is off.
-FaultInjector* ActiveFaultInjector();
+/// The active injector, or nullptr when fault injection is off (the
+/// per-site hook cost is then a single nullptr branch, like tracing).
+inline FaultInjector* ActiveFaultInjector() {
+  return runtime::CurrentQueryContext().faults;
+}
 
 }  // namespace ptp
 

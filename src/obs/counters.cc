@@ -10,17 +10,6 @@
 #include "obs/trace.h"
 
 namespace ptp {
-namespace {
-
-// Thread-propagated context slot (runtime/thread_pool.h): the active
-// registry is per coordinator thread, flowing to pool workers per batch, so
-// concurrently-served queries each publish into their own registry.
-int RegistrySlot() {
-  static const int slot = runtime::AllocateContextSlot();
-  return slot;
-}
-
-}  // namespace
 
 void Histogram::Record(uint64_t value) {
   ++buckets_[static_cast<size_t>(std::bit_width(value))];
@@ -206,13 +195,9 @@ void CounterRegistry::Clear() {
   }
 }
 
-CounterRegistry* ActiveCounterRegistry() {
-  return static_cast<CounterRegistry*>(runtime::ContextSlot(RegistrySlot()));
-}
-
 CounterRegistry* SetActiveCounterRegistry(CounterRegistry* registry) {
-  return static_cast<CounterRegistry*>(
-      runtime::SetContextSlot(RegistrySlot(), registry));
+  return std::exchange(runtime::internal::current_query_context.counters,
+                       registry);
 }
 
 }  // namespace ptp

@@ -119,11 +119,14 @@ class CounterRegistry {
   mutable std::array<Shard, runtime::kMaxThreads> shards_;
 };
 
-/// Installs `registry` as the calling thread's publish target (nullptr
-/// disables collection) and returns the previous registry.
+/// Replaces the calling thread's publish target (nullptr disables
+/// collection) and returns the previous registry. Install sinks with
+/// runtime::ScopedQueryContext; this exchange stays for benchmark/ptpbench.cc.
 CounterRegistry* SetActiveCounterRegistry(CounterRegistry* registry);
 /// The collecting registry, or nullptr when collection is off.
-CounterRegistry* ActiveCounterRegistry();
+inline CounterRegistry* ActiveCounterRegistry() {
+  return runtime::CurrentQueryContext().counters;
+}
 
 }  // namespace ptp
 

@@ -10,13 +10,6 @@
 namespace ptp {
 namespace {
 
-// Thread-propagated context slot (runtime/thread_pool.h): per coordinator
-// thread, flowing to pool workers per batch.
-int ProfileSlot() {
-  static const int slot = runtime::AllocateContextSlot();
-  return slot;
-}
-
 /// max/avg over per-consumer loads, mirroring exec SkewFactor exactly
 /// (single-worker and all-zero vectors are balanced by definition) so the
 /// profiler's measured skew reconciles bit-for-bit with
@@ -297,15 +290,6 @@ void QueryProfile::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   strategies_.clear();
   cumulative_busy_.clear();
-}
-
-QueryProfile* SetActiveQueryProfile(QueryProfile* profile) {
-  return static_cast<QueryProfile*>(
-      runtime::SetContextSlot(ProfileSlot(), profile));
-}
-
-QueryProfile* ActiveQueryProfile() {
-  return static_cast<QueryProfile*>(runtime::ContextSlot(ProfileSlot()));
 }
 
 }  // namespace ptp

@@ -7,6 +7,8 @@
 #include <string_view>
 #include <vector>
 
+#include "runtime/thread_pool.h"
+
 namespace ptp {
 
 /// Misra–Gries heavy-hitter sketch over uint64 keys (weighted variant).
@@ -315,11 +317,10 @@ class QueryProfile {
   std::vector<double> cumulative_busy_;
 };
 
-/// Installs `profile` as the calling thread's profiling target (nullptr
-/// disables) and returns the previous one.
-QueryProfile* SetActiveQueryProfile(QueryProfile* profile);
 /// The collecting profile, or nullptr when profiling is off.
-QueryProfile* ActiveQueryProfile();
+inline QueryProfile* ActiveQueryProfile() {
+  return runtime::CurrentQueryContext().profile;
+}
 
 }  // namespace ptp
 

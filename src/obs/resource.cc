@@ -1,6 +1,7 @@
 #include "obs/resource.h"
 
 #include <atomic>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/str_util.h"
@@ -9,14 +10,6 @@
 
 namespace ptp {
 namespace {
-
-// Thread-propagated context slot (runtime/thread_pool.h): the active meter
-// is per coordinator thread, flowing to pool workers per batch, so
-// concurrently-served queries each charge their own meter.
-int MeterSlot() {
-  static const int slot = runtime::AllocateContextSlot();
-  return slot;
-}
 
 // Per-thread redirect installed by WorkerMemScope. Worker bodies charge
 // here without locking; the coordinator folds the stats afterwards.
@@ -33,12 +26,7 @@ const char* MemCategoryName(MemCategory cat) {
 }
 
 ResourceMeter* SetActiveResourceMeter(ResourceMeter* meter) {
-  return static_cast<ResourceMeter*>(
-      runtime::SetContextSlot(MeterSlot(), meter));
-}
-
-ResourceMeter* ActiveResourceMeter() {
-  return static_cast<ResourceMeter*>(runtime::ContextSlot(MeterSlot()));
+  return std::exchange(runtime::internal::current_query_context.meter, meter);
 }
 
 WorkerMemScope::WorkerMemScope(MemStats* stats)

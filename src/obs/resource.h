@@ -8,6 +8,8 @@
 #include <string_view>
 #include <vector>
 
+#include "runtime/thread_pool.h"
+
 namespace ptp {
 
 /// What kind of materialization a memory charge pays for. Categories follow
@@ -187,11 +189,14 @@ class ResourceMeter {
   bool warned_this_query_ = false;
 };
 
-/// Installs `meter` as the calling thread's accounting target (nullptr disables
-/// accounting) and returns the previous meter.
+/// Replaces the calling thread's accounting target (nullptr disables
+/// accounting) and returns the previous meter. Install sinks with
+/// runtime::ScopedQueryContext; this exchange stays for benchmark/ptpbench.cc.
 ResourceMeter* SetActiveResourceMeter(ResourceMeter* meter);
 /// The accounting meter, or nullptr when metering is off.
-ResourceMeter* ActiveResourceMeter();
+inline ResourceMeter* ActiveResourceMeter() {
+  return runtime::CurrentQueryContext().meter;
+}
 
 /// Redirects this thread's MemCharge/MemRelease calls into `stats` for the
 /// scope's lifetime — installed at the top of each worker body so worker

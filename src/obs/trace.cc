@@ -13,13 +13,6 @@
 namespace ptp {
 namespace {
 
-// Thread-propagated context slot (runtime/thread_pool.h): per coordinator
-// thread, flowing to pool workers per batch.
-int TraceSlot() {
-  static const int slot = runtime::AllocateContextSlot();
-  return slot;
-}
-
 const char* LogEventName(internal_logging::Severity severity) {
   switch (severity) {
     case internal_logging::Severity::kInfo:
@@ -34,8 +27,8 @@ const char* LogEventName(internal_logging::Severity severity) {
   return "log";
 }
 
-// Mirrors emitted log lines onto the trace timeline (installed while a
-// session is active).
+// Mirrors emitted log lines onto the logging thread's active trace session
+// (a nullptr branch when that thread has none).
 void TraceLogSink(internal_logging::Severity severity,
                   const std::string& message) {
   if (TraceSession* session = ActiveTraceSession()) {
@@ -45,7 +38,13 @@ void TraceLogSink(internal_logging::Severity severity,
 
 }  // namespace
 
-TraceSession::TraceSession() = default;
+TraceSession::TraceSession() {
+  // Registered once, by the first session: the sink resolves the logging
+  // thread's active session per line, so it never needs uninstalling.
+  static std::once_flag log_mirror;
+  std::call_once(log_mirror,
+                 [] { internal_logging::SetLogSink(&TraceLogSink); });
+}
 
 double TraceSession::ElapsedMicros() const { return timer_.Seconds() * 1e6; }
 
@@ -241,21 +240,6 @@ Status TraceSession::WriteJsonFile(const std::string& path) const {
     return Status::Internal("failed writing trace file: " + path);
   }
   return Status::OK();
-}
-
-TraceSession* ActiveTraceSession() {
-  return static_cast<TraceSession*>(runtime::ContextSlot(TraceSlot()));
-}
-
-TraceSession* SetActiveTraceSession(TraceSession* session) {
-  TraceSession* prev = static_cast<TraceSession*>(
-      runtime::SetContextSlot(TraceSlot(), session));
-  // The log mirror stays registered once any session was ever installed:
-  // it resolves the *logging thread's* active session per line (nullptr
-  // branch when that thread has none), so concurrent sessions on other
-  // threads keep mirroring when this one deactivates.
-  if (session != nullptr) internal_logging::SetLogSink(&TraceLogSink);
-  return prev;
 }
 
 }  // namespace ptp

@@ -122,13 +122,12 @@ class TraceSession {
   mutable std::array<std::vector<TraceEvent>, runtime::kMaxThreads> buffers_;
 };
 
-/// Installs `session` as the calling thread's recording target (nullptr
-/// disables recording) and returns the previous session. While a session
-/// is active, emitted PTP_LOG lines are mirrored onto the coordinator
-/// track as instant events.
-TraceSession* SetActiveTraceSession(TraceSession* session);
-/// The currently recording session, or nullptr when tracing is off.
-TraceSession* ActiveTraceSession();
+/// The calling thread's recording session (runtime::QueryContext::trace),
+/// or nullptr when tracing is off. While a session is active, emitted
+/// PTP_LOG lines are mirrored onto the coordinator track as instant events.
+inline TraceSession* ActiveTraceSession() {
+  return runtime::CurrentQueryContext().trace;
+}
 
 /// RAII span against the active session. When tracing is disabled the
 /// constructor is one branch and the destructor another; no allocation, no

@@ -2,15 +2,11 @@
 
 #include <algorithm>
 
-#include "common/logging.h"
-
 namespace ptp {
 namespace runtime {
 namespace {
 
 thread_local int g_thread_index = -1;
-thread_local ContextSnapshot g_context;
-std::atomic<int> g_next_context_slot{0};
 
 /// Scoped assignment of the calling thread's pool index (used both by pool
 /// worker threads for their whole lifetime and by the inline path for the
@@ -29,30 +25,6 @@ class ScopedThreadIndex {
 }  // namespace
 
 int CurrentThreadIndex() { return g_thread_index; }
-
-int AllocateContextSlot() {
-  const int slot = g_next_context_slot.fetch_add(1, std::memory_order_relaxed);
-  PTP_CHECK_LT(slot, kNumContextSlots)
-      << "too many context-slot subsystems; raise runtime::kNumContextSlots";
-  return slot;
-}
-
-void* ContextSlot(int slot) { return g_context.slots[slot]; }
-
-void* SetContextSlot(int slot, void* value) {
-  void* prev = g_context.slots[slot];
-  g_context.slots[slot] = value;
-  return prev;
-}
-
-ContextSnapshot CaptureContext() { return g_context; }
-
-ScopedContext::ScopedContext(const ContextSnapshot& snapshot)
-    : saved_(g_context) {
-  g_context = snapshot;
-}
-
-ScopedContext::~ScopedContext() { g_context = saved_; }
 
 ThreadPool::ThreadPool(int num_threads)
     : num_threads_(std::clamp(num_threads, 1, kMaxThreads)) {
@@ -86,10 +58,10 @@ void ThreadPool::WorkerMain(int index) {
       seen_epoch = epoch_;
       batch = batch_;
     }
-    // Run under the submitting thread's context slots so worker bodies see
-    // the same active sinks (trace/counters/meter/...) as the coordinator
-    // that opened the batch.
-    ScopedContext context(batch->context);
+    // Run under the submitting thread's context so worker bodies see the
+    // same active sinks (trace/counters/meter/...) as the coordinator that
+    // opened the batch.
+    ScopedQueryContext context(batch->context);
     RunBatch(batch.get());
   }
 }
@@ -151,7 +123,7 @@ Status ThreadPool::ParallelFor(int n, const std::function<Status(int)>& body) {
   auto batch = std::make_shared<Batch>();
   batch->n = n;
   batch->body = &body;
-  batch->context = CaptureContext();
+  batch->context = CurrentQueryContext();
   batch->statuses = &statuses;
   batch->exceptions = &exceptions;
   {

@@ -8,11 +8,20 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
 
 namespace ptp {
+
+class CounterRegistry;
+class FaultInjector;
+class QueryLifecycle;
+class QueryProfile;
+class ResourceMeter;
+class TraceSession;
+
 namespace runtime {
 
 /// Hard cap on pool sizes, so observability sinks can size fixed per-thread
@@ -26,49 +35,61 @@ inline constexpr int kMaxThreads = 128;
 /// region" view regardless of the thread count.
 int CurrentThreadIndex();
 
-/// Number of opaque task-context slots (see ContextSlot below). Small and
-/// fixed so a context snapshot is a trivially-copyable array.
-inline constexpr int kNumContextSlots = 8;
-
-/// Hands out a process-unique context-slot index. Each subsystem that wants
-/// a thread-propagated "active sink" pointer (trace session, counter
-/// registry, resource meter, fault injector, query lifecycle, ...)
-/// allocates one slot at first use and stores its pointer there. Crashes if
-/// more than kNumContextSlots subsystems register.
-int AllocateContextSlot();
-
-/// The calling thread's value for `slot` (nullptr when unset). Slots are
-/// thread-local: setting a slot on one coordinator thread is invisible to
-/// other coordinator threads, which is what makes concurrently-running
-/// queries unable to cross-charge each other's observability sinks.
+/// The per-query sinks a thread publishes into: counter registry, trace
+/// session, query profile, resource meter, fault injector and query
+/// lifecycle. A nullptr field disables that sink, so every hot-path site
+/// reads its field through one inline getter (ActiveCounterRegistry(), ...)
+/// and pays a single nullptr branch when it is off.
 ///
-/// Propagation: ParallelFor snapshots the *caller's* slots and installs
-/// them on every pool thread for the duration of the batch (restoring the
-/// previous values afterwards), so worker bodies observe the submitting
+/// The context is thread-local: a context installed on one coordinator
+/// thread is invisible to other coordinator threads, which is what keeps
+/// concurrently-served queries from cross-charging each other's sinks.
+/// ParallelFor copies the caller's context into the batch and installs it
+/// on every pool thread for the duration of the batch (restoring the pool
+/// thread's own context afterwards), so worker bodies see the submitting
 /// query's sinks no matter which OS thread runs them.
-void* ContextSlot(int slot);
-/// Sets the calling thread's value for `slot`; returns the previous value.
-void* SetContextSlot(int slot, void* value);
+struct QueryContext {
+  CounterRegistry* counters = nullptr;
+  TraceSession* trace = nullptr;
+  QueryProfile* profile = nullptr;
+  ResourceMeter* meter = nullptr;
+  FaultInjector* faults = nullptr;
+  QueryLifecycle* lifecycle = nullptr;
 
-/// Copy of one thread's context slots, installable on another thread.
-struct ContextSnapshot {
-  void* slots[kNumContextSlots] = {};
+  bool operator==(const QueryContext&) const = default;
 };
-/// Snapshot of the calling thread's slots.
-ContextSnapshot CaptureContext();
 
-/// Installs `snapshot` on the calling thread for the scope's lifetime and
-/// restores the previous slots on destruction.
-class ScopedContext {
+namespace internal {
+inline thread_local QueryContext current_query_context;
+}  // namespace internal
+
+/// The calling thread's installed context.
+inline const QueryContext& CurrentQueryContext() {
+  return internal::current_query_context;
+}
+
+/// Installs `context` on the calling thread for the scope's lifetime and
+/// restores the previous context on destruction, on every exit path. The
+/// install replaces the whole context; a caller that wants to keep an
+/// outer sink copies CurrentQueryContext() and overrides one field, and
+/// `ScopedQueryContext detached{QueryContext{}}` turns every sink off.
+///
+/// New code installs sinks only through this scope. Two field setters
+/// remain, SetActiveCounterRegistry and SetActiveResourceMeter, which
+/// exchange one field of the current context and return the previous
+/// value: the benchmark driver benchmark/ptpbench.cc calls them, and it is
+/// kept unchanged so its numbers stay comparable across versions.
+class ScopedQueryContext {
  public:
-  explicit ScopedContext(const ContextSnapshot& snapshot);
-  ~ScopedContext();
+  explicit ScopedQueryContext(const QueryContext& context)
+      : saved_(std::exchange(internal::current_query_context, context)) {}
+  ~ScopedQueryContext() { internal::current_query_context = saved_; }
 
-  ScopedContext(const ScopedContext&) = delete;
-  ScopedContext& operator=(const ScopedContext&) = delete;
+  ScopedQueryContext(const ScopedQueryContext&) = delete;
+  ScopedQueryContext& operator=(const ScopedQueryContext&) = delete;
 
  private:
-  ContextSnapshot saved_;
+  QueryContext saved_;
 };
 
 /// Fixed-size, work-stealing-free thread pool executing deterministic
@@ -121,9 +142,9 @@ class ThreadPool {
     std::atomic<int> done{0};
     std::vector<Status>* statuses = nullptr;
     std::vector<std::exception_ptr>* exceptions = nullptr;
-    /// The submitting thread's context slots, installed on every pool
-    /// thread for the duration of the batch.
-    ContextSnapshot context;
+    /// The submitting thread's context, installed on every pool thread for
+    /// the duration of the batch.
+    QueryContext context;
   };
 
   void WorkerMain(int index);

@@ -641,29 +641,22 @@ QueryResponse QueryServer::Execute(PendingQuery* p, bool* suspended) {
   r.bloom = p->opts.bloom;
 
   // Per-query observability + control sinks, installed on this executor
-  // thread only (thread-propagated context slots): a concurrent query on
-  // another executor charges its own registry/meter and answers to its own
-  // cancel token, never these.
-  CounterRegistry* prev_registry =
-      SetActiveCounterRegistry(p->counters.get());
-  ResourceMeter* prev_meter = SetActiveResourceMeter(p->meter.get());
-  QueryLifecycle* prev_lifecycle =
-      SetActiveQueryLifecycle(p->lifecycle.get());
-  FaultInjector* prev_injector = ActiveFaultInjector();
-  if (p->injector != nullptr) SetActiveFaultInjector(p->injector.get());
-  auto uninstall = [&] {
-    if (p->injector != nullptr) SetActiveFaultInjector(prev_injector);
-    SetActiveQueryLifecycle(prev_lifecycle);
-    SetActiveResourceMeter(prev_meter);
-    SetActiveCounterRegistry(prev_registry);
-  };
+  // thread only (a thread-local runtime::QueryContext) until this function
+  // returns: a concurrent query on another executor charges its own
+  // registry/meter and answers to its own cancel token, never these. Sinks
+  // the request does not carry keep the executor thread's values.
+  runtime::QueryContext sinks = runtime::CurrentQueryContext();
+  sinks.counters = p->counters.get();
+  sinks.meter = p->meter.get();
+  sinks.lifecycle = p->lifecycle.get();
+  if (p->injector != nullptr) sinks.faults = p->injector.get();
+  runtime::ScopedQueryContext installed(sinks);
 
   // A deadline that expired in the queue (or a cancel that landed between
   // pick and dispatch) resolves here without (re)entering the engine —
   // with any checkpointed partial account intact.
   Status pre = p->lifecycle->Poll("dispatch");
   if (!pre.ok()) {
-    uninstall();
     if (p->checkpoint != nullptr) r.metrics = p->checkpoint->metrics;
     r.metrics.failed = true;
     r.metrics.fail_code = pre.code();
@@ -683,7 +676,6 @@ QueryResponse QueryServer::Execute(PendingQuery* p, bool* suspended) {
                              p->join, p->opts);
   p->exec_seconds += exec_timer.Seconds();
   r.exec_seconds = p->exec_seconds;
-  uninstall();
 
   if (!result.ok()) {
     r.status = result.status();

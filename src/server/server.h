@@ -227,11 +227,12 @@ struct ServerOptions {
 /// against a global memory pool, schedules them fairly across two cost
 /// classes, and executes on the shared deterministic runtime.
 ///
-/// Isolation: each executor installs per-query observability sinks
-/// (counter registry, resource meter) that are thread-propagated (see
-/// runtime::ContextSlot), so concurrently-served queries never cross-
-/// charge — a query's counters and memory account are bit-identical to a
-/// solo run of the same plan.
+/// Isolation: each executor installs the query's sinks (counter registry,
+/// resource meter, lifecycle, fault injector) as one thread-local
+/// runtime::QueryContext through a runtime::ScopedQueryContext, which
+/// ParallelFor propagates to the pool, so concurrently-served queries never
+/// cross-charge — a query's counters and memory account are bit-identical
+/// to a solo run of the same plan.
 class QueryServer {
  public:
   /// A client connection: a named stream of submissions with

@@ -28,7 +28,7 @@ double TJCostModel::PrefixDistinct(size_t input, const std::vector<int>& perm,
   // per-query sink detached, so a run whose order came from a plan cache
   // publishes the same counters and memory account as one that ran the
   // optimizer.
-  runtime::ScopedContext detached{runtime::ContextSnapshot{}};
+  runtime::ScopedQueryContext detached{runtime::QueryContext{}};
   Relation prefix = inputs_[input]->PermuteColumns(cols, "prefix");
   const double count = static_cast<double>(
       CountDistinctPrefixes(prefix, prefix.arity()));

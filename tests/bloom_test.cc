@@ -140,18 +140,17 @@ RunRecord RunWith(int threads, const NormalizedQuery& q, ShuffleKind shuffle,
                   const std::string& faults = "") {
   runtime::SetThreads(threads);
   CounterRegistry registry;
-  CounterRegistry* prev_reg = SetActiveCounterRegistry(&registry);
-  FaultInjector* prev_inj = nullptr;
   std::unique_ptr<FaultInjector> injector;
   if (!faults.empty()) {
     auto plan = FaultPlan::Parse(faults);
     EXPECT_TRUE(plan.ok()) << plan.status().ToString();
     injector = std::make_unique<FaultInjector>(std::move(plan).value());
-    prev_inj = SetActiveFaultInjector(injector.get());
   }
-  auto result = RunStrategy(q, shuffle, join, opts);
-  if (injector != nullptr) SetActiveFaultInjector(prev_inj);
-  SetActiveCounterRegistry(prev_reg);
+  auto result = [&] {
+    runtime::ScopedQueryContext sinks(
+        {.counters = &registry, .faults = injector.get()});
+    return RunStrategy(q, shuffle, join, opts);
+  }();
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   RunRecord record;
   record.result = std::move(result).value();

@@ -150,11 +150,12 @@ TEST(RecoveryTest, InternalIsRetryableOnlyUnderAnInjector) {
   const Status internal = Status::Internal("conservation violated");
   EXPECT_FALSE(IsRetryableFailure(internal));
   FaultInjector injector(FaultPlan{});
-  FaultInjector* prev = SetActiveFaultInjector(&injector);
-  EXPECT_TRUE(IsRetryableFailure(internal));
-  EXPECT_TRUE(IsRetryableFailure(Status::Unavailable("crash")));
-  EXPECT_FALSE(IsRetryableFailure(Status::ResourceExhausted("budget")));
-  SetActiveFaultInjector(prev);
+  {
+    runtime::ScopedQueryContext sinks({.faults = &injector});
+    EXPECT_TRUE(IsRetryableFailure(internal));
+    EXPECT_TRUE(IsRetryableFailure(Status::Unavailable("crash")));
+    EXPECT_FALSE(IsRetryableFailure(Status::ResourceExhausted("budget")));
+  }
   // kUnavailable is always retryable; it only originates from injection.
   EXPECT_TRUE(IsRetryableFailure(Status::Unavailable("crash")));
 }
@@ -171,9 +172,8 @@ TEST(ShuffleFaultTest, DroppedChannelTripsConservationInvariant) {
   auto plan = FaultPlan::Parse("drop@attempt=*");  // every channel, always
   ASSERT_TRUE(plan.ok());
   FaultInjector injector(std::move(plan).value());
-  FaultInjector* prev = SetActiveFaultInjector(&injector);
+  runtime::ScopedQueryContext sinks({.faults = &injector});
   Result<ShuffleResult> r = HashShuffle(dist, {0}, 8, 7, "lossy");
-  SetActiveFaultInjector(prev);
 
   // The invariant reports the loss as a Status, never a crash.
   ASSERT_FALSE(r.ok());
@@ -191,9 +191,8 @@ TEST(ShuffleFaultTest, DuplicatedChannelIsDedupedBySequenceTag) {
   auto plan = FaultPlan::Parse("dup@p=0;dup@p=3");
   ASSERT_TRUE(plan.ok());
   FaultInjector injector(std::move(plan).value());
-  FaultInjector* prev = SetActiveFaultInjector(&injector);
+  runtime::ScopedQueryContext sinks({.faults = &injector});
   Result<ShuffleResult> r = HashShuffle(dist, {0}, 8, 7, "t");
-  SetActiveFaultInjector(prev);
 
   // Both copies carry the same (producer, epoch) tag; the consumer keeps
   // the first and the merged fragments are bit-identical to the clean run.
@@ -221,18 +220,17 @@ RunRecord RunWith(int threads, const NormalizedQuery& q, ShuffleKind shuffle,
                   const std::string& faults = "") {
   runtime::SetThreads(threads);
   CounterRegistry registry;
-  CounterRegistry* prev_reg = SetActiveCounterRegistry(&registry);
-  FaultInjector* prev_inj = nullptr;
   std::unique_ptr<FaultInjector> injector;
   if (!faults.empty()) {
     auto plan = FaultPlan::Parse(faults);
     EXPECT_TRUE(plan.ok()) << plan.status().ToString();
     injector = std::make_unique<FaultInjector>(std::move(plan).value());
-    prev_inj = SetActiveFaultInjector(injector.get());
   }
-  auto result = RunStrategy(q, shuffle, join, opts);
-  if (injector != nullptr) SetActiveFaultInjector(prev_inj);
-  SetActiveCounterRegistry(prev_reg);
+  auto result = [&] {
+    runtime::ScopedQueryContext sinks(
+        {.counters = &registry, .faults = injector.get()});
+    return RunStrategy(q, shuffle, join, opts);
+  }();
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   RunRecord record;
   record.result = std::move(result).value();
@@ -526,9 +524,8 @@ TEST(SemijoinRecoveryTest, ExchangeRetriesConvergeToFaultFreeResult) {
     auto plan = FaultPlan::Parse("drop@p=0,c=0");
     ASSERT_TRUE(plan.ok());
     FaultInjector injector(std::move(plan).value());
-    FaultInjector* prev = SetActiveFaultInjector(&injector);
+    runtime::ScopedQueryContext sinks({.faults = &injector});
     auto faulted = RunSemijoinPlan(wl->query, wl->normalized, opts, nullptr);
-    SetActiveFaultInjector(prev);
 
     ASSERT_TRUE(faulted.ok()) << wl->id << ": " << faulted.status().ToString();
     EXPECT_FALSE(faulted->metrics.failed)

@@ -66,29 +66,22 @@ RunRecord RunWith(int threads, const NormalizedQuery& q, ShuffleKind shuffle,
   ResourceMeter meter;
   QueryLifecycle lifecycle;
   if (arm) arm(&lifecycle);
-  CounterRegistry* prev_reg = SetActiveCounterRegistry(&registry);
-  ResourceMeter* prev_meter =
-      SetActiveResourceMeter(install_meter ? &meter : nullptr);
-  QueryLifecycle* prev_lc =
-      install_lifecycle ? SetActiveQueryLifecycle(&lifecycle) : nullptr;
   std::unique_ptr<FaultInjector> injector;
-  FaultInjector* prev_inj = nullptr;
   if (!faults.empty()) {
     auto plan = FaultPlan::Parse(faults);
     EXPECT_TRUE(plan.ok()) << plan.status().ToString();
     injector = std::make_unique<FaultInjector>(std::move(plan).value());
-    prev_inj = SetActiveFaultInjector(injector.get());
   }
+  runtime::ScopedQueryContext sinks(
+      {.counters = &registry, .meter = install_meter ? &meter : nullptr,
+       .faults = injector.get(),
+       .lifecycle = install_lifecycle ? &lifecycle : nullptr});
   Result<StrategyResult> result = RunStrategy(q, shuffle, join, opts);
   while (result.ok() && result->checkpoint != nullptr) {
     // Keep the checkpoint alive across the call that consumes it.
     std::shared_ptr<QueryCheckpoint> cp = result->checkpoint;
     result = ResumeStrategy(q, shuffle, join, opts, *cp);
   }
-  if (injector != nullptr) SetActiveFaultInjector(prev_inj);
-  if (install_lifecycle) SetActiveQueryLifecycle(prev_lc);
-  SetActiveResourceMeter(prev_meter);
-  SetActiveCounterRegistry(prev_reg);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   RunRecord record;
   if (result.ok()) record.result = std::move(result).value();

@@ -193,21 +193,6 @@ NormalizedQuery RandomQuery(const char* text, uint64_t seed, size_t tuples,
   return std::move(nq).value();
 }
 
-// Installs a session/registry for the scope of one test and guarantees
-// uninstallation even on assertion failure.
-struct ScopedObservability {
-  TraceSession trace;
-  CounterRegistry counters;
-  ScopedObservability() {
-    SetActiveTraceSession(&trace);
-    SetActiveCounterRegistry(&counters);
-  }
-  ~ScopedObservability() {
-    SetActiveTraceSession(nullptr);
-    SetActiveCounterRegistry(nullptr);
-  }
-};
-
 TEST(JsonQuoteTest, EscapesSpecials) {
   EXPECT_EQ(JsonQuote("plain"), "\"plain\"");
   EXPECT_EQ(JsonQuote("a\"b\\c"), "\"a\\\"b\\\\c\"");
@@ -258,14 +243,13 @@ TEST(TraceSessionTest, TimestampsAreMonotonic) {
 }
 
 TEST(SpanTest, NullSessionIsNoop) {
-  SetActiveTraceSession(nullptr);
+  runtime::ScopedQueryContext detached{runtime::QueryContext{}};
   Span span("ignored", WorkerTrack(3));  // must not crash or record
   SUCCEED();
 }
 
 TEST(SpanTest, DisabledPathEmitsNoEventsAndDoesNotAllocate) {
-  SetActiveTraceSession(nullptr);
-  SetActiveCounterRegistry(nullptr);
+  runtime::ScopedQueryContext detached{runtime::QueryContext{}};
   const size_t before = g_alloc_count;
   for (int i = 0; i < 1000; ++i) {
     Span span("hot loop", WorkerTrack(1));
@@ -379,7 +363,12 @@ TEST(ObservedRunTest, WorkerSpansPerStageAndShuffleCounters) {
   const int W = 4;
   NormalizedQuery q = RandomQuery("T(x,y,z) :- R(x,y), S(y,z), U(z,x).", 11,
                                   150, 20);
-  ScopedObservability obs;
+  struct {
+    TraceSession trace;
+    CounterRegistry counters;
+  } obs;
+  runtime::ScopedQueryContext sinks(
+      {.counters = &obs.counters, .trace = &obs.trace});
   StrategyOptions opts;
   opts.num_workers = W;
   std::vector<StrategyResult> results = RunAllStrategies(q, opts).value();
@@ -440,12 +429,11 @@ TEST(ObservedRunTest, WorkerSpansPerStageAndShuffleCounters) {
 TEST(ObservedRunTest, SpansNestPerTrack) {
   NormalizedQuery q = RandomQuery("T(x,z) :- R(x,y), S(y,z).", 5, 80, 12);
   TraceSession session;
-  SetActiveTraceSession(&session);
+  runtime::ScopedQueryContext sinks({.trace = &session});
   StrategyOptions opts;
   opts.num_workers = 3;
   auto result = RunStrategy(q, ShuffleKind::kBroadcast, JoinKind::kTributary,
                             opts);
-  SetActiveTraceSession(nullptr);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
   // Replay: per track, B/E events must form a proper LIFO nesting.
@@ -484,11 +472,12 @@ TEST(LoggingTest, ParseSeverityAcceptsNamesAndNumbers) {
 
 TEST(LoggingTest, LogLinesBecomeInstantTraceEvents) {
   TraceSession session;
-  SetActiveTraceSession(&session);
-  const Severity prev = SetMinLogSeverity(Severity::kInfo);
-  PTP_LOG(Warning) << "shuffle imbalance detected";
-  SetMinLogSeverity(prev);
-  SetActiveTraceSession(nullptr);
+  {
+    runtime::ScopedQueryContext sinks({.trace = &session});
+    const Severity prev = SetMinLogSeverity(Severity::kInfo);
+    PTP_LOG(Warning) << "shuffle imbalance detected";
+    SetMinLogSeverity(prev);
+  }
 
   bool found = false;
   for (const TraceEvent& e : session.events()) {
@@ -502,11 +491,12 @@ TEST(LoggingTest, LogLinesBecomeInstantTraceEvents) {
 
 TEST(LoggingTest, LinesBelowMinSeverityAreNotTraced) {
   TraceSession session;
-  SetActiveTraceSession(&session);
-  const Severity prev = SetMinLogSeverity(Severity::kError);
-  PTP_LOG(Info) << "should be filtered";
-  SetMinLogSeverity(prev);
-  SetActiveTraceSession(nullptr);
+  {
+    runtime::ScopedQueryContext sinks({.trace = &session});
+    const Severity prev = SetMinLogSeverity(Severity::kError);
+    PTP_LOG(Info) << "should be filtered";
+    SetMinLogSeverity(prev);
+  }
   for (const TraceEvent& e : session.events()) {
     EXPECT_EQ(e.detail.find("should be filtered"), std::string::npos);
   }
@@ -551,11 +541,10 @@ TEST(ExplainAnalyzeTest, JsonExportsAreValid) {
   NormalizedQuery q = RandomQuery("T(x,y,z) :- R(x,y), S(y,z), U(z,x).", 19,
                                   100, 16);
   CounterRegistry counters;
-  SetActiveCounterRegistry(&counters);
+  runtime::ScopedQueryContext sinks({.counters = &counters});
   StrategyOptions opts;
   opts.num_workers = 2;
   std::vector<StrategyResult> results = RunAllStrategies(q, opts).value();
-  SetActiveCounterRegistry(nullptr);
 
   ExplainOptions eo;
   eo.counters = &counters;
@@ -575,7 +564,7 @@ TEST(CostModelValidationTest, PredictedSeeksTrackMeasuredSeeks) {
   // seeks and the registry-measured seeks must correlate strongly (log-log
   // Pearson >= 0.9) — the acceptance bar for the Figure 12 reproduction.
   CounterRegistry reg;
-  SetActiveCounterRegistry(&reg);
+  runtime::ScopedQueryContext sinks({.counters = &reg});
   std::vector<double> predicted, measured;
   uint64_t mark = 0;
   for (const size_t edges : {200u, 800u, 3200u}) {
@@ -591,7 +580,6 @@ TEST(CostModelValidationTest, PredictedSeeksTrackMeasuredSeeks) {
     predicted.push_back(std::log10(std::max(1.0, best.estimated_cost)));
     measured.push_back(std::log10(static_cast<double>(seeks)));
   }
-  SetActiveCounterRegistry(nullptr);
   const double r = PearsonCorrelation(predicted, measured);
   EXPECT_GE(r, 0.9) << "predicted vs measured seek correlation too weak";
 }

@@ -189,9 +189,8 @@ TEST(ShuffleProfileTest, MatrixConservesTuplesAndReconcilesSkew) {
   DistributedRelation dist = PartitionRoundRobin(rel, 8);
 
   QueryProfile profile;
-  QueryProfile* prev = SetActiveQueryProfile(&profile);
+  runtime::ScopedQueryContext sinks({.profile = &profile});
   ShuffleResult sr = HashShuffle(dist, {0}, 8, 7, "R ->h(x)").value();
-  SetActiveQueryProfile(prev);
 
   const auto sections = profile.Snapshot();
   ASSERT_EQ(sections.size(), 1u);
@@ -239,9 +238,8 @@ TEST(ShuffleProfileTest, SingleColumnSketchCountsMatchExactFrequencies) {
   DistributedRelation dist = PartitionRoundRobin(rel, 4);
 
   QueryProfile profile;
-  QueryProfile* prev = SetActiveQueryProfile(&profile);
+  runtime::ScopedQueryContext sinks({.profile = &profile});
   HashShuffle(dist, {0}, 4, 7, "t").value();
-  SetActiveQueryProfile(prev);
 
   const auto sections = profile.Snapshot();
   const ShuffleProfile& sp = sections[0].shuffles[0];
@@ -269,9 +267,8 @@ TEST(ShuffleProfileTest, LargeExchangeIsSampledDeterministically) {
   DistributedRelation dist = PartitionRoundRobin(rel, 8);
 
   QueryProfile profile;
-  QueryProfile* prev = SetActiveQueryProfile(&profile);
+  runtime::ScopedQueryContext sinks({.profile = &profile});
   HashShuffle(dist, {0}, 8, 7, "big").value();
-  SetActiveQueryProfile(prev);
 
   const auto sections = profile.Snapshot();
   const ShuffleProfile& sp = sections[0].shuffles[0];
@@ -290,9 +287,8 @@ TEST(ShuffleProfileTest, BroadcastRecordsNoKeySketch) {
   DistributedRelation dist = PartitionRoundRobin(rel, 4);
 
   QueryProfile profile;
-  QueryProfile* prev = SetActiveQueryProfile(&profile);
+  runtime::ScopedQueryContext sinks({.profile = &profile});
   BroadcastShuffle(dist, 4, "Broadcast R").value();
-  SetActiveQueryProfile(prev);
 
   const auto sections = profile.Snapshot();
   const ShuffleProfile& sp = sections[0].shuffles[0];
@@ -382,18 +378,15 @@ ProfiledRun RunProfiled(int threads, const NormalizedQuery& q,
                         const std::string& faults = "") {
   runtime::SetThreads(threads);
   QueryProfile profile;
-  QueryProfile* prev_profile = SetActiveQueryProfile(&profile);
-  FaultInjector* prev_inj = nullptr;
   std::unique_ptr<FaultInjector> injector;
   if (!faults.empty()) {
     auto plan = FaultPlan::Parse(faults);
     EXPECT_TRUE(plan.ok()) << plan.status().ToString();
     injector = std::make_unique<FaultInjector>(std::move(plan).value());
-    prev_inj = SetActiveFaultInjector(injector.get());
   }
+  runtime::ScopedQueryContext sinks(
+      {.profile = &profile, .faults = injector.get()});
   auto result = RunStrategy(q, shuffle, join, opts);
-  if (injector != nullptr) SetActiveFaultInjector(prev_inj);
-  SetActiveQueryProfile(prev_profile);
   runtime::SetThreads(0);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
 
@@ -468,12 +461,9 @@ TEST(ProfileEndToEndTest, StageTimelinesCoverWorkersAndExportCounters) {
   runtime::SetThreads(1);
   QueryProfile profile;
   TraceSession trace;
-  QueryProfile* prev_profile = SetActiveQueryProfile(&profile);
-  TraceSession* prev_trace = SetActiveTraceSession(&trace);
+  runtime::ScopedQueryContext sinks({.trace = &trace, .profile = &profile});
   auto result = RunStrategy(wl->normalized, ShuffleKind::kRegular,
                             JoinKind::kHashJoin, opts);
-  SetActiveTraceSession(prev_trace);
-  SetActiveQueryProfile(prev_profile);
   runtime::SetThreads(0);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
@@ -530,10 +520,9 @@ TEST(ProfileReportTest, ExplainAnalyzeAppendsProfileSection) {
 
   runtime::SetThreads(1);
   QueryProfile profile;
-  QueryProfile* prev = SetActiveQueryProfile(&profile);
+  runtime::ScopedQueryContext sinks({.profile = &profile});
   auto result = RunStrategy(wl->normalized, ShuffleKind::kRegular,
                             JoinKind::kHashJoin, opts);
-  SetActiveQueryProfile(prev);
   runtime::SetThreads(0);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
@@ -589,7 +578,7 @@ TEST(ProfileReportTest, GoldenSectionForHandBuiltProfile) {
 // ---------------------------------------------------------------------------
 
 TEST(ProfileDisabledTest, NullProfileHooksDoNotAllocate) {
-  SetActiveQueryProfile(nullptr);
+  runtime::ScopedQueryContext detached{runtime::QueryContext{}};
   const size_t before = g_alloc_count;
   uint64_t sink = 0;
   for (int i = 0; i < 1000; ++i) {

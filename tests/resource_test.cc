@@ -79,7 +79,7 @@ TEST(MemStatsTest, ChargeTracksLiveAndPeakReleaseClamps) {
 
 TEST(ScopedMemChargeTest, RaiiReleasesAndMoveTransfersOwnership) {
   ResourceMeter meter;
-  ResourceMeter* prev = SetActiveResourceMeter(&meter);
+  runtime::ScopedQueryContext sinks({.meter = &meter});
   meter.BeginQuery("q");
   {
     ScopedMemCharge a(MemCategory::kTrie, 64);
@@ -88,7 +88,6 @@ TEST(ScopedMemChargeTest, RaiiReleasesAndMoveTransfersOwnership) {
     EXPECT_EQ(a.bytes(), 0u);
     EXPECT_EQ(b.bytes(), 64u);
   }
-  SetActiveResourceMeter(prev);
   const QueryMemory* q = meter.FindQuery("q");
   ASSERT_NE(q, nullptr);
   EXPECT_EQ(q->live_bytes, 0u);
@@ -124,12 +123,11 @@ TEST(ResourceMeterTest, BookStageFoldsWorkerPeaksIntoQueryHighWater) {
 
 TEST(ResourceMeterTest, SoftBudgetRecordsOverageAndCountsOnce) {
   CounterRegistry reg;
-  CounterRegistry* prev = SetActiveCounterRegistry(&reg);
+  runtime::ScopedQueryContext sinks({.counters = &reg});
   ResourceMeter meter(/*budget_bytes=*/100);
   meter.BeginQuery("q");
   meter.Charge(MemCategory::kIntermediate, 150);
   meter.Charge(MemCategory::kIntermediate, 30);  // deeper overage
-  SetActiveCounterRegistry(prev);
 
   const QueryMemory* q = meter.FindQuery("q");
   ASSERT_NE(q, nullptr);
@@ -170,18 +168,15 @@ MeteredRun RunMetered(int threads, const NormalizedQuery& q,
                       const std::string& faults = "") {
   runtime::SetThreads(threads);
   ResourceMeter meter;
-  ResourceMeter* prev_meter = SetActiveResourceMeter(&meter);
-  FaultInjector* prev_inj = nullptr;
   std::unique_ptr<FaultInjector> injector;
   if (!faults.empty()) {
     auto plan = FaultPlan::Parse(faults);
     EXPECT_TRUE(plan.ok()) << plan.status().ToString();
     injector = std::make_unique<FaultInjector>(std::move(plan).value());
-    prev_inj = SetActiveFaultInjector(injector.get());
   }
+  runtime::ScopedQueryContext sinks(
+      {.meter = &meter, .faults = injector.get()});
   auto result = RunStrategy(q, shuffle, join, opts);
-  if (injector != nullptr) SetActiveFaultInjector(prev_inj);
-  SetActiveResourceMeter(prev_meter);
   runtime::SetThreads(0);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
 
@@ -282,14 +277,10 @@ TEST(ResourceEndToEndTest, ShuffleBytesReconcileWithProfilerAndCounters) {
   ResourceMeter meter;
   CounterRegistry reg;
   QueryProfile profile;
-  ResourceMeter* prev_meter = SetActiveResourceMeter(&meter);
-  CounterRegistry* prev_reg = SetActiveCounterRegistry(&reg);
-  QueryProfile* prev_profile = SetActiveQueryProfile(&profile);
+  runtime::ScopedQueryContext sinks(
+      {.counters = &reg, .profile = &profile, .meter = &meter});
   auto result = RunStrategy(wl->normalized, ShuffleKind::kRegular,
                             JoinKind::kHashJoin, opts);
-  SetActiveQueryProfile(prev_profile);
-  SetActiveCounterRegistry(prev_reg);
-  SetActiveResourceMeter(prev_meter);
   runtime::SetThreads(0);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
@@ -568,10 +559,9 @@ TEST(ExplainMemoryTest, ExplainAppendsMemorySectionWhenMeterGiven) {
 
   runtime::SetThreads(1);
   ResourceMeter meter;
-  ResourceMeter* prev = SetActiveResourceMeter(&meter);
+  runtime::ScopedQueryContext sinks({.meter = &meter});
   auto result = RunStrategy(wl->normalized, ShuffleKind::kRegular,
                             JoinKind::kHashJoin, opts);
-  SetActiveResourceMeter(prev);
   runtime::SetThreads(0);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
@@ -596,7 +586,7 @@ TEST(ExplainMemoryTest, ExplainAppendsMemorySectionWhenMeterGiven) {
 // ---------------------------------------------------------------------------
 
 TEST(ResourceDisabledTest, NullMeterHooksDoNotAllocate) {
-  SetActiveResourceMeter(nullptr);
+  runtime::ScopedQueryContext detached{runtime::QueryContext{}};
   const size_t before = g_alloc_count;
   for (int i = 0; i < 1000; ++i) {
     MemCharge(MemCategory::kHashTable, 128);

@@ -38,9 +38,8 @@ RunRecord RunWith(int threads, const NormalizedQuery& q, ShuffleKind shuffle,
                   JoinKind join, const StrategyOptions& opts) {
   runtime::SetThreads(threads);
   CounterRegistry registry;
-  CounterRegistry* prev = SetActiveCounterRegistry(&registry);
+  runtime::ScopedQueryContext sinks({.counters = &registry});
   auto result = RunStrategy(q, shuffle, join, opts);
-  SetActiveCounterRegistry(prev);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   RunRecord record;
   record.result = std::move(result).value();

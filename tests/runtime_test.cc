@@ -2,13 +2,22 @@
 // first-error-wins aggregation, exception propagation, nested-region
 // rejection, and the contract the engine relies on — identical outcomes at
 // every thread count because every index runs and writes only its own state.
+// Also the per-query context: ScopedQueryContext restores on every exit
+// path, and ParallelFor carries the installing thread's context to the pool.
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
 
+#include "exec/lifecycle.h"
+#include "fault/fault.h"
 #include "gtest/gtest.h"
+#include "obs/counters.h"
+#include "obs/profile.h"
+#include "obs/resource.h"
+#include "obs/trace.h"
 #include "runtime/parallel.h"
 #include "runtime/thread_pool.h"
 
@@ -161,6 +170,110 @@ TEST(TaskGroupTest, RunsAllTasksAndAggregatesFirstError) {
   EXPECT_EQ(group.size(), 0u);
   EXPECT_TRUE(group.Run().ok());
   SetThreads(0);
+}
+
+// One of each sink, so a context can name six distinct live objects.
+struct Sinks {
+  CounterRegistry counters;
+  TraceSession trace;
+  QueryProfile profile;
+  ResourceMeter meter;
+  FaultInjector faults{FaultPlan{}};
+  QueryLifecycle lifecycle;
+
+  QueryContext Context() {
+    return {&counters, &trace, &profile, &meter, &faults, &lifecycle};
+  }
+};
+
+int InstallAndReturn(const QueryContext& context, bool early) {
+  ScopedQueryContext scope(context);
+  if (early) return 1;
+  EXPECT_EQ(CurrentQueryContext(), context);
+  return 2;
+}
+
+TEST(ScopedQueryContextTest, RestoresOnNormalExitEarlyReturnAndException) {
+  Sinks outer_sinks, inner_sinks;
+  const QueryContext outer = outer_sinks.Context();
+  const QueryContext inner = inner_sinks.Context();
+  ScopedQueryContext outer_scope(outer);
+
+  EXPECT_EQ(InstallAndReturn(inner, /*early=*/false), 2);
+  EXPECT_EQ(CurrentQueryContext(), outer);
+  EXPECT_EQ(InstallAndReturn(inner, /*early=*/true), 1);
+  EXPECT_EQ(CurrentQueryContext(), outer);
+  EXPECT_THROW(
+      {
+        ScopedQueryContext scope(inner);
+        throw std::runtime_error("body failed");
+      },
+      std::runtime_error);
+  EXPECT_EQ(CurrentQueryContext(), outer);
+}
+
+TEST(ScopedQueryContextTest, NestedScopesRestoreInLifoOrder) {
+  Sinks a, b;
+  const QueryContext base = CurrentQueryContext();
+  {
+    ScopedQueryContext first(a.Context());
+    {
+      // Keep the outer sinks, override one field.
+      QueryContext only_counters = CurrentQueryContext();
+      only_counters.counters = &b.counters;
+      ScopedQueryContext second(only_counters);
+      EXPECT_EQ(ActiveCounterRegistry(), &b.counters);
+      EXPECT_EQ(ActiveTraceSession(), &a.trace);
+      {
+        ScopedQueryContext third(b.Context());
+        EXPECT_EQ(CurrentQueryContext(), b.Context());
+      }
+      EXPECT_EQ(CurrentQueryContext(), only_counters);
+    }
+    EXPECT_EQ(CurrentQueryContext(), a.Context());
+  }
+  EXPECT_EQ(CurrentQueryContext(), base);
+}
+
+TEST(ScopedQueryContextTest, ParallelForBodiesSeeTheInstallingThreadsContext) {
+  Sinks sinks;
+  const QueryContext installed = sinks.Context();
+  for (int threads : {1, 4}) {
+    ThreadPool pool(threads);
+    std::vector<QueryContext> seen(32);
+    auto record = [&](int i) {
+      seen[static_cast<size_t>(i)] = CurrentQueryContext();
+      return Status::OK();
+    };
+    {
+      ScopedQueryContext scope(installed);
+      ASSERT_TRUE(pool.ParallelFor(32, record).ok());
+      EXPECT_EQ(CurrentQueryContext(), installed);
+    }
+    for (const QueryContext& c : seen) EXPECT_EQ(c, installed) << threads;
+
+    // The pool threads got their own (empty) context back after the batch:
+    // a batch submitted with nothing installed sees nothing.
+    std::fill(seen.begin(), seen.end(), installed);
+    ASSERT_TRUE(pool.ParallelFor(32, record).ok());
+    for (const QueryContext& c : seen) EXPECT_EQ(c, QueryContext{}) << threads;
+  }
+}
+
+TEST(ScopedQueryContextTest, EmptyContextDetachesAllSixSinks) {
+  Sinks sinks;
+  ScopedQueryContext installed(sinks.Context());
+  ASSERT_NE(ActiveCounterRegistry(), nullptr);
+  {
+    ScopedQueryContext detached{QueryContext{}};
+    EXPECT_EQ(ActiveCounterRegistry(), nullptr);
+    EXPECT_EQ(ActiveTraceSession(), nullptr);
+    EXPECT_EQ(ActiveQueryProfile(), nullptr);
+    EXPECT_EQ(ActiveResourceMeter(), nullptr);
+    EXPECT_EQ(ActiveFaultInjector(), nullptr);
+    EXPECT_EQ(ActiveQueryLifecycle(), nullptr);
+  }
+  EXPECT_EQ(CurrentQueryContext(), sinks.Context());
 }
 
 }  // namespace

@@ -122,9 +122,8 @@ TEST(SemijoinPlanTest, ExhaustedExchangeFailsGracefullyAsUnavailable) {
   auto plan = FaultPlan::Parse("drop@attempt=*");
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   FaultInjector injector(std::move(plan).value());
-  FaultInjector* prev = SetActiveFaultInjector(&injector);
+  runtime::ScopedQueryContext sinks({.faults = &injector});
   auto result = RunSemijoinPlan(s.query, s.normalized, opts, nullptr);
-  SetActiveFaultInjector(prev);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->metrics.failed);
   EXPECT_EQ(result->metrics.fail_code, StatusCode::kUnavailable);
@@ -141,9 +140,8 @@ TEST(SemijoinPlanTest, CancelDuringExchangeFailsGracefully) {
   opts.num_workers = 4;
   QueryLifecycle lifecycle;
   lifecycle.CancelAfterPolls(1);
-  QueryLifecycle* prev = SetActiveQueryLifecycle(&lifecycle);
+  runtime::ScopedQueryContext sinks({.lifecycle = &lifecycle});
   auto result = RunSemijoinPlan(s.query, s.normalized, opts, nullptr);
-  SetActiveQueryLifecycle(prev);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->metrics.failed);
   EXPECT_EQ(result->metrics.fail_code, StatusCode::kCancelled);

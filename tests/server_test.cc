@@ -147,22 +147,16 @@ SoloRun RunSolo(Catalog* catalog, const std::string& text,
   // Replaying a served run bit-for-bit means replaying its fault schedule
   // under a private injector, exactly as the server does.
   std::unique_ptr<FaultInjector> injector;
-  FaultInjector* prev_injector = nullptr;
   if (!faults.empty()) {
     auto fault_plan = FaultPlan::Parse(faults);
     PTP_CHECK(fault_plan.ok()) << fault_plan.status().ToString();
     injector = std::make_unique<FaultInjector>(std::move(fault_plan).value());
-    prev_injector = ActiveFaultInjector();
-    SetActiveFaultInjector(injector.get());
   }
   CounterRegistry counters;
   ResourceMeter meter(0, /*hard=*/true);
-  CounterRegistry* prev_reg = SetActiveCounterRegistry(&counters);
-  ResourceMeter* prev_meter = SetActiveResourceMeter(&meter);
+  runtime::ScopedQueryContext sinks(
+      {.counters = &counters, .meter = &meter, .faults = injector.get()});
   auto result = RunStrategy(*nq, shuffle, join, opts);
-  SetActiveResourceMeter(prev_meter);
-  SetActiveCounterRegistry(prev_reg);
-  if (injector != nullptr) SetActiveFaultInjector(prev_injector);
   PTP_CHECK(result.ok()) << result.status().ToString();
   SoloRun solo;
   solo.metrics = result->metrics;
@@ -300,8 +294,7 @@ TEST(ServerTest, ActiveSinksArePerThread) {
   constexpr int kIters = 50;
   auto body = [](CounterRegistry* reg, ResourceMeter* meter,
                  uint64_t stamp) {
-    CounterRegistry* prev_reg = SetActiveCounterRegistry(reg);
-    ResourceMeter* prev_meter = SetActiveResourceMeter(meter);
+    runtime::ScopedQueryContext sinks({.counters = reg, .meter = meter});
     meter->BeginQuery("q");
     for (int i = 0; i < kIters; ++i) {
       Status st = runtime::ParallelFor(4, [&](int /*worker*/) {
@@ -314,8 +307,6 @@ TEST(ServerTest, ActiveSinksArePerThread) {
       });
       PTP_CHECK(st.ok());
     }
-    SetActiveResourceMeter(prev_meter);
-    SetActiveCounterRegistry(prev_reg);
   };
   CounterRegistry reg_a, reg_b;
   ResourceMeter meter_a, meter_b;

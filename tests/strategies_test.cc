@@ -412,15 +412,10 @@ uint64_t GoldenDigest(const NormalizedQuery& q, ShuffleKind shuffle,
     EXPECT_TRUE(plan.ok()) << plan.status().ToString();
     injector = std::make_unique<FaultInjector>(std::move(plan).value());
   }
-  CounterRegistry* prev_reg = SetActiveCounterRegistry(&registry);
-  ResourceMeter* prev_meter = SetActiveResourceMeter(&meter);
-  QueryLifecycle* prev_lc = SetActiveQueryLifecycle(&lifecycle);
-  FaultInjector* prev_inj = SetActiveFaultInjector(injector.get());
+  runtime::ScopedQueryContext sinks({.counters = &registry, .meter = &meter,
+                                     .faults = injector.get(),
+                                     .lifecycle = &lifecycle});
   Result<StrategyResult> result = RunStrategy(q, shuffle, join, opts);
-  SetActiveFaultInjector(prev_inj);
-  SetActiveQueryLifecycle(prev_lc);
-  SetActiveResourceMeter(prev_meter);
-  SetActiveCounterRegistry(prev_reg);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   if (!result.ok()) return 0;
 

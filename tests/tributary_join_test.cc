@@ -232,11 +232,10 @@ TJRun RunDirect(const NormalizedQuery& q, TJBackend backend,
   opts.backend = backend;
   opts.max_seeks = max_seeks;
   CounterRegistry registry;
-  CounterRegistry* prev = SetActiveCounterRegistry(&registry);
+  runtime::ScopedQueryContext sinks({.counters = &registry});
   TJMetrics metrics;
   auto result = TributaryJoin(inputs, q.Variables(), q.predicates, opts,
                               &metrics);
-  SetActiveCounterRegistry(prev);
   TJRun run;
   run.status = result.status();
   run.rows = metrics.output_tuples;
@@ -505,10 +504,9 @@ TEST(TributaryJoinGolden, HCTJMatchesGolden) {
     opts.num_workers = 16;
     opts.var_order = wl->normalized.Variables();
     CounterRegistry registry;
-    CounterRegistry* prev = SetActiveCounterRegistry(&registry);
+    runtime::ScopedQueryContext sinks({.counters = &registry});
     auto result = RunStrategy(wl->normalized, ShuffleKind::kHypercube,
                               JoinKind::kTributary, opts);
-    SetActiveCounterRegistry(prev);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     const uint64_t hash = InOrderHash(result->output);
     const std::string counters = TJCounters(registry);
