@@ -10,6 +10,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ptp/ptp.h"
@@ -17,12 +18,22 @@
 namespace ptp {
 namespace bench {
 
-/// CPU seconds consumed so far by the calling thread.
-inline double ThreadCpuSeconds() {
+/// CPU seconds consumed so far on `clock`.
+inline double CpuSeconds(clockid_t clock) {
   timespec ts;
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  clock_gettime(clock, &ts);
   return static_cast<double>(ts.tv_sec) +
          static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+/// CPU seconds consumed so far by the calling thread.
+inline double ThreadCpuSeconds() {
+  return CpuSeconds(CLOCK_THREAD_CPUTIME_ID);
+}
+
+/// CPU seconds consumed so far by every thread of the process.
+inline double ProcessCpuSeconds() {
+  return CpuSeconds(CLOCK_PROCESS_CPUTIME_ID);
 }
 
 /// Thread-CPU seconds of one call of `fn`.
@@ -45,7 +56,7 @@ double TimeMin(int reps, Fn&& fn) {
 }
 
 /// Flags shared by the off/armed overhead benches
-/// (micro_{fault,profile,resource}_overhead): --json= --twitter-nodes=
+/// (micro_fault_overhead, micro_overhead): --json= --twitter-nodes=
 /// --twitter-edges= --reps= and, for the benches that gate, --gate=.
 struct OverheadConfig {
   std::string json_path;
@@ -104,11 +115,11 @@ struct ModeRow {
   double overhead_vs_off = 0;  // (t - t_off) / t_off
 };
 
-/// Writes the overhead report (BENCH_fault.json, BENCH_profile.json,
-/// BENCH_resource.json): {"config": {...}, "modes": [...], <tail>}, where
-/// `tail` holds the report's remaining top-level fields. Then prints one
-/// line per mode.
-inline void WriteModeReport(const OverheadConfig& c,
+/// Writes the overhead report (BENCH_fault.json and micro_overhead's
+/// BENCH_<sink>.json): {"config": {...}, "modes": [...], <tail>}, where
+/// `tail` holds the report's remaining top-level fields and `clock` names
+/// the CPU clock the modes were timed on. Then prints one line per mode.
+inline void WriteModeReport(const OverheadConfig& c, const char* clock,
                             const std::vector<ModeRow>& rows,
                             const std::string& tail) {
   std::ofstream out(c.json_path);
@@ -116,7 +127,9 @@ inline void WriteModeReport(const OverheadConfig& c,
   out << "{\n  \"config\": {\"twitter_nodes\": " << c.twitter_nodes
       << ", \"twitter_edges\": " << c.twitter_edges << ", \"reps\": " << c.reps;
   if (c.gate >= 0) out << ", \"gate\": " << c.gate;
-  out << ", \"clock\": \"CLOCK_THREAD_CPUTIME_ID\"},\n  \"modes\": [\n";
+  out << ", \"clock\": \"" << clock
+      << "\", \"nproc\": " << std::thread::hardware_concurrency()
+      << "},\n  \"modes\": [\n";
   for (size_t i = 0; i < rows.size(); ++i) {
     const ModeRow& r = rows[i];
     out << "    {\"query\": \"" << r.query << "\", \"mode\": \"" << r.mode
@@ -144,7 +157,10 @@ struct ArmedOverhead {
 
 /// Measures what installing `armed` costs a workload: `off_run()` is one
 /// iteration with no sinks, `armed_run()` one iteration under `armed` (it
-/// may reset the armed sink first). Fast workloads are batched so every
+/// may reset the armed sink first). Windows are timed on the process CPU
+/// clock, so work a run hands to another thread (a server's executor) is
+/// counted; with the runtime at one thread, the inline pool makes it equal
+/// to the calling thread's CPU time. Fast workloads are batched so every
 /// timed window is ~0.3 s: a 3% gate on a 90 ms query needs better than
 /// ±2.7 ms of timing stability, which a single run does not have. Windows
 /// stay moderate in favour of MORE pairs — per-pair ratios on a shared
@@ -161,14 +177,15 @@ ArmedOverhead MeasureArmedOverhead(const std::string& id, int reps,
                                    const runtime::QueryContext& armed,
                                    OffRun&& off_run, ArmedRun&& armed_run,
                                    AfterPair&& after_pair) {
-  const double warmup = TimeOnce(off_run);
+  auto timed = [](int n, auto& run) {
+    const double t0 = ProcessCpuSeconds();
+    for (int i = 0; i < n; ++i) run();
+    return ProcessCpuSeconds() - t0;
+  };
+  const double warmup = timed(1, off_run);
   const int inner =
       warmup > 0 ? std::max(1, static_cast<int>(0.3 / warmup)) : 1;
-  auto window = [inner](auto& run) {
-    return TimeOnce([&] {
-      for (int i = 0; i < inner; ++i) run();
-    });
-  };
+  auto window = [&](auto& run) { return timed(inner, run); };
   double best_off = 0;
   double best_armed = 0;
   std::vector<double> ratios;

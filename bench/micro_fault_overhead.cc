@@ -118,6 +118,6 @@ int main(int argc, char** argv) {
     tail += StrFormat("\"%s\": %llu", name.c_str(),
                       static_cast<unsigned long long>(value));
   }
-  bench::WriteModeReport(c, rows, tail + "}");
+  bench::WriteModeReport(c, "CLOCK_THREAD_CPUTIME_ID", rows, tail + "}");
   return 0;
 }

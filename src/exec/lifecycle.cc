@@ -69,8 +69,8 @@ void QueryLifecycle::SuspendAtBarrier(uint64_t k) {
 Status QueryLifecycle::Poll(std::string_view where) {
   // Fast path: nothing armed. Only Cancel/SetDeadline/*AfterPolls flip
   // `attention_`, so an armed-but-clean run pays one relaxed increment
-  // and one acquire load per poll — no lock (the overhead gate in
-  // bench/serve_lifecycle depends on this staying cheap).
+  // and one acquire load per poll — no lock (the 1 % overhead gate of
+  // bench/micro_overhead --sink=lifecycle depends on this staying cheap).
   const uint64_t n = polls_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (!attention_.load(std::memory_order_acquire)) return Status::OK();
 

@@ -106,8 +106,8 @@ struct QueryMemory {
 /// pattern: instrumentation sites consult ActiveResourceMeter() (plus a
 /// thread-local worker redirect), so the disabled path is two predictable
 /// branches and zero allocations (tests/resource_test.cc enforces the
-/// no-alloc contract; bench/micro_resource_overhead.cc gates the armed
-/// overhead).
+/// no-alloc contract; bench/micro_overhead.cc --sink=resource gates the
+/// armed overhead).
 ///
 /// Determinism: coordinator-side charges happen on the coordinator thread
 /// in program order; worker-side charges accumulate into per-logical-worker

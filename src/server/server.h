@@ -104,8 +104,7 @@ struct QueryResponse {
   QueryMetrics metrics;
   /// The query's private counter registry, snapshotted after the run —
   /// what a solo run of the same plan would have published (the
-  /// cross-contamination check in bench/serve_closed_loop.cc compares
-  /// these bit-for-bit).
+  /// isolation checks in tests/server_test.cc compare these bit-for-bit).
   std::vector<std::pair<std::string, uint64_t>> counters;
 
   double queue_seconds = 0;

@@ -32,15 +32,8 @@
 namespace ptp {
 namespace {
 
-WorkloadScale TinyScale() {
-  WorkloadScale scale;
-  scale.twitter.num_nodes = 400;
-  scale.twitter.num_edges = 2500;
-  scale.twitter.zipf_exponent = 0.7;
-  scale.freebase_scale = 0.08;
-  scale.seed = 99;
-  return scale;
-}
+using test::TinyScale;
+using test::TotalRetries;
 
 // ---------------------------------------------------------------------------
 // The filter itself.
@@ -372,13 +365,6 @@ TEST(BloomEffectTest, SelectiveQueryFiltersTuplesAndBalancesTheBooks) {
 // ---------------------------------------------------------------------------
 // Recovery across a filtered exchange.
 // ---------------------------------------------------------------------------
-
-size_t TotalRetries(const QueryMetrics& m) {
-  size_t total = 0;
-  for (const StageMetrics& s : m.stages) total += s.retries;
-  for (const ShuffleMetrics& s : m.shuffles) total += s.retries;
-  return total;
-}
 
 // Every exchange — including the filtered ones — loses all of its first
 // attempt. The replay must re-apply the same filter decisions: recovered

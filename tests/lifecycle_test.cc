@@ -31,19 +31,13 @@
 #include "obs/resource.h"
 #include "plan/strategies.h"
 #include "runtime/parallel.h"
+#include "test_util.h"
 
 namespace ptp {
 namespace {
 
-WorkloadScale TinyScale() {
-  WorkloadScale scale;
-  scale.twitter.num_nodes = 400;
-  scale.twitter.num_edges = 2500;
-  scale.twitter.zipf_exponent = 0.7;
-  scale.freebase_scale = 0.08;
-  scale.seed = 99;
-  return scale;
-}
+using test::TinyScale;
+using test::TotalRetries;
 
 struct RunRecord {
   StrategyResult result;
@@ -90,13 +84,6 @@ RunRecord RunWith(int threads, const NormalizedQuery& q, ShuffleKind shuffle,
   if (injector != nullptr) record.injected = injector->injected();
   runtime::SetThreads(0);
   return record;
-}
-
-size_t TotalRetries(const QueryMetrics& m) {
-  size_t total = 0;
-  for (const StageMetrics& s : m.stages) total += s.retries;
-  for (const ShuffleMetrics& s : m.shuffles) total += s.retries;
-  return total;
 }
 
 void ExpectIdenticalOutcome(const RunRecord& a, const RunRecord& b,

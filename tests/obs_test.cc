@@ -1,14 +1,13 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <cstdlib>
 #include <map>
-#include <new>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "bench_util/report.h"
 #include "common/logging.h"
 #include "gtest/gtest.h"
@@ -20,28 +19,6 @@
 #include "test_util.h"
 #include "tj/order_optimizer.h"
 #include "tj/tributary_join.h"
-
-// Global allocation counter for the disabled-fast-path test: tracing that is
-// switched off must not allocate. Overriding operator new in this TU covers
-// the whole test binary; only the marked sections read the counter.
-namespace {
-size_t g_alloc_count = 0;
-}  // namespace
-
-void* operator new(std::size_t size) {
-  ++g_alloc_count;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  ++g_alloc_count;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace ptp {
 namespace {
@@ -250,7 +227,7 @@ TEST(SpanTest, NullSessionIsNoop) {
 
 TEST(SpanTest, DisabledPathEmitsNoEventsAndDoesNotAllocate) {
   runtime::ScopedQueryContext detached{runtime::QueryContext{}};
-  const size_t before = g_alloc_count;
+  const size_t before = g_alloc_count.load();
   for (int i = 0; i < 1000; ++i) {
     Span span("hot loop", WorkerTrack(1));
     if (CounterRegistry* reg = ActiveCounterRegistry()) {
@@ -260,7 +237,7 @@ TEST(SpanTest, DisabledPathEmitsNoEventsAndDoesNotAllocate) {
       trace->Counter("never", 1.0);
     }
   }
-  EXPECT_EQ(g_alloc_count, before)
+  EXPECT_EQ(g_alloc_count.load(), before)
       << "disabled instrumentation must not allocate";
 }
 
@@ -305,10 +282,9 @@ TEST(CounterRegistryTest, HistogramBucketsAndJson) {
 }
 
 // Pins the pow2-bucket quantile estimator's interpolation exactly (the
-// fleet latency percentiles and BENCH_serving.json's p50/p95/p99/p999 all
-// come from it): continuous rank q*(count-1) located by cumulative bucket
-// counts, samples assumed evenly spaced within a bucket, result clamped to
-// the tracked [min, max].
+// fleet latency percentiles p50/p95/p99/p999 all come from it): continuous
+// rank q*(count-1) located by cumulative bucket counts, samples assumed
+// evenly spaced within a bucket, result clamped to the tracked [min, max].
 TEST(HistogramTest, QuantileEmptyAndSingleSample) {
   Histogram h;
   EXPECT_EQ(h.Quantile(0.0), 0.0);

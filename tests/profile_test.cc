@@ -6,14 +6,13 @@
 // not allocate).
 
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <memory>
-#include <new>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "common/hash.h"
 #include "data/workloads.h"
 #include "exec/cluster.h"
@@ -28,29 +27,10 @@
 #include "runtime/parallel.h"
 #include "test_util.h"
 
-// Global allocation counter for the disabled-fast-path test (same idiom as
-// obs_test.cc): profiling that is switched off must not allocate.
-namespace {
-size_t g_alloc_count = 0;
-}  // namespace
-
-void* operator new(std::size_t size) {
-  ++g_alloc_count;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  ++g_alloc_count;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
 namespace ptp {
 namespace {
+
+using test::TinyScale;
 
 // ---------------------------------------------------------------------------
 // MisraGries: sketch guarantees against exact reference counts.
@@ -354,16 +334,6 @@ TEST(SkewDecompositionTest, BalancedShuffleHasNoComponents) {
 // End-to-end: strategies, fault recovery, thread-count bit-identity.
 // ---------------------------------------------------------------------------
 
-WorkloadScale TinyScale() {
-  WorkloadScale scale;
-  scale.twitter.num_nodes = 400;
-  scale.twitter.num_edges = 2500;
-  scale.twitter.zipf_exponent = 0.7;
-  scale.freebase_scale = 0.08;
-  scale.seed = 99;
-  return scale;
-}
-
 /// Runs one strategy with a profile installed (optionally under a fault
 /// schedule) and returns the profile JSON without timings plus the result.
 struct ProfiledRun {
@@ -579,7 +549,7 @@ TEST(ProfileReportTest, GoldenSectionForHandBuiltProfile) {
 
 TEST(ProfileDisabledTest, NullProfileHooksDoNotAllocate) {
   runtime::ScopedQueryContext detached{runtime::QueryContext{}};
-  const size_t before = g_alloc_count;
+  const size_t before = g_alloc_count.load();
   uint64_t sink = 0;
   for (int i = 0; i < 1000; ++i) {
     if (QueryProfile* p = ActiveQueryProfile()) {
@@ -588,7 +558,7 @@ TEST(ProfileDisabledTest, NullProfileHooksDoNotAllocate) {
     }
   }
   EXPECT_EQ(sink, 0u);
-  EXPECT_EQ(g_alloc_count, before)
+  EXPECT_EQ(g_alloc_count.load(), before)
       << "disabled profiler probe must not allocate";
 }
 

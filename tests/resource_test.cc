@@ -7,14 +7,13 @@
 // the EXPLAIN ANALYZE memory section (golden), and the disabled fast path
 // (which must not allocate).
 
-#include <cstdlib>
 #include <map>
 #include <memory>
-#include <new>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "data/workloads.h"
 #include "exec/shuffle.h"
 #include "fault/fault.h"
@@ -31,29 +30,10 @@
 #include "storage/catalog.h"
 #include "test_util.h"
 
-// Global allocation counter for the disabled-fast-path test (same idiom as
-// profile_test.cc): metering that is switched off must not allocate.
-namespace {
-size_t g_alloc_count = 0;
-}  // namespace
-
-void* operator new(std::size_t size) {
-  ++g_alloc_count;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  ++g_alloc_count;
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
 namespace ptp {
 namespace {
+
+using test::TinyScale;
 
 // ---------------------------------------------------------------------------
 // MemStats / ScopedMemCharge invariants.
@@ -146,16 +126,6 @@ TEST(ResourceMeterTest, SoftBudgetRecordsOverageAndCountsOnce) {
 // ---------------------------------------------------------------------------
 // End-to-end: determinism of the byte accounting.
 // ---------------------------------------------------------------------------
-
-WorkloadScale TinyScale() {
-  WorkloadScale scale;
-  scale.twitter.num_nodes = 400;
-  scale.twitter.num_edges = 2500;
-  scale.twitter.zipf_exponent = 0.7;
-  scale.freebase_scale = 0.08;
-  scale.seed = 99;
-  return scale;
-}
 
 struct MeteredRun {
   StrategyResult result;
@@ -587,7 +557,7 @@ TEST(ExplainMemoryTest, ExplainAppendsMemorySectionWhenMeterGiven) {
 
 TEST(ResourceDisabledTest, NullMeterHooksDoNotAllocate) {
   runtime::ScopedQueryContext detached{runtime::QueryContext{}};
-  const size_t before = g_alloc_count;
+  const size_t before = g_alloc_count.load();
   for (int i = 0; i < 1000; ++i) {
     MemCharge(MemCategory::kHashTable, 128);
     MemRelease(128);
@@ -596,7 +566,7 @@ TEST(ResourceDisabledTest, NullMeterHooksDoNotAllocate) {
       ADD_FAILURE() << "meter unexpectedly installed";
     }
   }
-  EXPECT_EQ(g_alloc_count, before)
+  EXPECT_EQ(g_alloc_count.load(), before)
       << "disabled meter hooks must not allocate";
 }
 

@@ -15,19 +15,12 @@
 #include "plan/strategies.h"
 #include "runtime/parallel.h"
 #include "storage/sort.h"
+#include "test_util.h"
 
 namespace ptp {
 namespace {
 
-WorkloadScale TinyScale() {
-  WorkloadScale scale;
-  scale.twitter.num_nodes = 400;
-  scale.twitter.num_edges = 2500;
-  scale.twitter.zipf_exponent = 0.7;
-  scale.freebase_scale = 0.08;
-  scale.seed = 99;
-  return scale;
-}
+using test::TinyScale;
 
 struct RunRecord {
   StrategyResult result;

@@ -15,6 +15,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -160,6 +161,25 @@ TEST(Telemetry, PrometheusRoundTrip) {
             std::string::npos);
   EXPECT_NE(prom.find("ptp_plan_cache_lookups_total{result=\"hit\"} 5"),
             std::string::npos);
+  // Each fleet family is declared with its Prometheus type.
+  for (const auto& [family, type] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"ptp_request_latency_seconds", "histogram"},
+           {"ptp_server_requests_total", "counter"},
+           {"ptp_server_queue_depth", "gauge"},
+           {"ptp_plan_cache_lookups_total", "counter"},
+           {"ptp_plan_cache_blind_advisories_total", "counter"},
+           {"ptp_plan_cache_order_optimizations_total", "counter"}}) {
+    EXPECT_NE(prom.find("# TYPE " + family + " " + type + "\n"),
+              std::string::npos)
+        << family << " is not declared as a " << type;
+  }
+  size_t samples = 0;
+  std::istringstream lines(prom);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind('#', 0) != 0) ++samples;
+  }
+  EXPECT_GT(samples, 50u);
 
   // The JSON render parses with the in-repo parser and carries the same
   // counters.
@@ -261,7 +281,13 @@ TEST(Telemetry, QueryLogOneRecordPerRequest) {
       const JsonValue* slow = parsed->Find("slow");
       ASSERT_NE(slow, nullptr);
       EXPECT_TRUE(slow->boolean);
-      EXPECT_GT(parsed->NumberOr("exec_ms", -1), 0);
+      const JsonValue* status = parsed->Find("status");
+      ASSERT_NE(status, nullptr);
+      EXPECT_EQ(status->string, "OK");
+      const double exec_ms = parsed->NumberOr("exec_ms", -1);
+      EXPECT_GT(exec_ms, 0);
+      EXPECT_GE(parsed->NumberOr("total_ms", -1), exec_ms);
+      EXPECT_GT(parsed->NumberOr("dispatch_seq", -1), 0);
       EXPECT_GT(parsed->NumberOr("output_tuples", -1), 0);
     }
   }

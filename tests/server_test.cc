@@ -8,16 +8,22 @@
 #include "server/server.h"
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "data/workloads.h"
 #include "fault/fault.h"
 #include "gtest/gtest.h"
 #include "obs/counters.h"
+#include "obs/metrics_export.h"
 #include "obs/resource.h"
+#include "obs/trace.h"
 #include "plan/strategies.h"
 #include "query/normalize_text.h"
 #include "query/parser.h"
@@ -28,6 +34,9 @@
 
 namespace ptp {
 namespace {
+
+using test::TinyScale;
+using test::TotalRetries;
 
 // A catalog of random binary relations sized by `tuples`/`domain`, with
 // every relation a test query mentions.
@@ -165,6 +174,23 @@ SoloRun RunSolo(Catalog* catalog, const std::string& text,
   return solo;
 }
 
+// Every deterministic figure of a served run — output, metrics, bytes,
+// retries and counters — must equal its solo run's.
+void ExpectMatchesSolo(const QueryResponse& r, const SoloRun& solo) {
+  EXPECT_TRUE(r.output.EqualsUnordered(solo.output)) << r.id;
+  EXPECT_EQ(r.metrics.output_tuples, solo.metrics.output_tuples) << r.id;
+  EXPECT_EQ(r.metrics.TuplesShuffled(), solo.metrics.TuplesShuffled())
+      << r.id;
+  EXPECT_EQ(r.metrics.max_intermediate_tuples,
+            solo.metrics.max_intermediate_tuples)
+      << r.id;
+  EXPECT_EQ(r.metrics.peak_bytes, solo.metrics.peak_bytes) << r.id;
+  EXPECT_EQ(r.metrics.charged_bytes, solo.metrics.charged_bytes) << r.id;
+  EXPECT_EQ(TotalRetries(r.metrics), TotalRetries(solo.metrics)) << r.id;
+  EXPECT_EQ(r.counters, solo.counters)
+      << r.id << " (" << r.strategy << "): counter cross-charge";
+}
+
 QueryRequest ForcedRequest(Catalog* catalog, const std::string& text,
                            ShuffleKind shuffle, JoinKind join, int workers) {
   QueryRequest req = MakeRequest(catalog, text, workers);
@@ -203,13 +229,7 @@ TEST(ServerTest, EntryPlansOnceAndServesRunsBitIdenticalToSolo) {
     const QueryResponse& r = h.Get();
     ASSERT_TRUE(r.status.ok()) << r.status.ToString();
     EXPECT_EQ(r.strategy, "HC_TJ");
-    EXPECT_TRUE(r.output.EqualsUnordered(solo.output)) << r.id;
-    EXPECT_EQ(r.metrics.output_tuples, solo.metrics.output_tuples) << r.id;
-    EXPECT_EQ(r.metrics.TuplesShuffled(), solo.metrics.TuplesShuffled())
-        << r.id;
-    EXPECT_EQ(r.metrics.peak_bytes, solo.metrics.peak_bytes) << r.id;
-    EXPECT_EQ(r.metrics.charged_bytes, solo.metrics.charged_bytes) << r.id;
-    EXPECT_EQ(r.counters, solo.counters) << r.id;
+    ExpectMatchesSolo(r, solo);
   }
 }
 
@@ -270,21 +290,70 @@ TEST(ServerTest, ConcurrentQueriesBitIdenticalToSoloRuns) {
     // Baseline with the strategy the server actually ran (feedback may
     // upgrade it between rounds); every deterministic figure must match a
     // solo run bit-for-bit.
-    SoloRun solo = RunSolo(sub.catalog, sub.text, r.strategy, sub.workers);
-    EXPECT_TRUE(r.output.EqualsUnordered(solo.output)) << r.id;
-    EXPECT_EQ(r.metrics.output_tuples, solo.metrics.output_tuples) << r.id;
-    EXPECT_EQ(r.metrics.TuplesShuffled(), solo.metrics.TuplesShuffled())
-        << r.id;
-    EXPECT_EQ(r.metrics.max_intermediate_tuples,
-              solo.metrics.max_intermediate_tuples)
-        << r.id;
-    EXPECT_EQ(r.metrics.peak_bytes, solo.metrics.peak_bytes) << r.id;
-    EXPECT_EQ(r.metrics.charged_bytes, solo.metrics.charged_bytes) << r.id;
-    EXPECT_EQ(r.counters, solo.counters) << r.id << " (" << r.strategy
-                                         << "): counter cross-charge";
+    ExpectMatchesSolo(r, RunSolo(sub.catalog, sub.text, r.strategy,
+                                 sub.workers, "", r.bloom));
   }
   EXPECT_EQ(server.stats().completed, all.size());
   EXPECT_EQ(server.stats().failed, 0u);
+}
+
+// The paper's eight queries served concurrently: two interleaved rounds of
+// Q1-Q8 from two sessions on three executors. Every response matches a solo
+// run of the plan the server actually ran, and the plan cache prepares each
+// distinct query exactly once however the rounds interleave.
+TEST(ServerTest, PaperQueriesServedConcurrentlyMatchSoloAndPlanOnce) {
+  constexpr int kWorkers = 8;
+  WorkloadFactory factory(TinyScale());
+  std::vector<Workload> workloads;
+  for (const int q : {1, 2, 3, 4, 5, 6, 7, 8}) {
+    Result<Workload> wl = factory.Make(q);
+    ASSERT_TRUE(wl.ok()) << wl.status().ToString();
+    workloads.push_back(std::move(wl).value());
+  }
+
+  ServerOptions so;
+  so.executors = 3;
+  QueryServer server(so);
+  QueryServer::Session* sessions[] = {server.OpenSession(),
+                                      server.OpenSession()};
+  std::vector<std::pair<size_t, QueryHandle>> all;
+  for (int round = 0; round < 2; ++round) {
+    for (size_t w = 0; w < workloads.size(); ++w) {
+      all.emplace_back(w, sessions[(w + round) % 2]->Submit(MakeRequest(
+                              workloads[w].catalog.get(),
+                              workloads[w].query.ToString(), kWorkers)));
+    }
+  }
+  server.Drain();
+
+  // One solo reference per (query, strategy, bloom) actually served:
+  // feedback may upgrade a query's plan between rounds, and each plan is
+  // compared against its own reference.
+  std::map<std::tuple<size_t, std::string, bool>, SoloRun> references;
+  for (const auto& [w, handle] : all) {
+    const QueryResponse& r = handle.Get();
+    ASSERT_TRUE(r.status.ok()) << workloads[w].id << ": "
+                               << r.status.ToString();
+    auto key = std::make_tuple(w, r.strategy, r.bloom);
+    auto it = references.find(key);
+    if (it == references.end()) {
+      it = references
+               .emplace(key, RunSolo(workloads[w].catalog.get(),
+                                     workloads[w].query.ToString(),
+                                     r.strategy, kWorkers, "", r.bloom))
+               .first;
+    }
+    SCOPED_TRACE(workloads[w].id);
+    ExpectMatchesSolo(r, it->second);
+  }
+  EXPECT_EQ(server.stats().completed, all.size());
+  EXPECT_EQ(server.stats().failed, 0u);
+
+  const PlanCache::Stats cache = server.plan_cache().stats();
+  EXPECT_EQ(cache.parses, workloads.size());
+  EXPECT_EQ(cache.blind_advisories, cache.parses);
+  EXPECT_LE(cache.order_optimizations, cache.parses);
+  EXPECT_EQ(cache.hits + cache.misses, all.size());
 }
 
 // Regression for the underlying mechanism: active sinks are per thread and
@@ -597,13 +666,6 @@ TEST(ServerTest, FeedbackRefreshesCachedPlan) {
 // barrier-checkpoint preemption, fault recovery under concurrent serving.
 // ---------------------------------------------------------------------------
 
-size_t TotalRetries(const QueryMetrics& m) {
-  size_t total = 0;
-  for (const StageMetrics& s : m.stages) total += s.retries;
-  for (const ShuffleMetrics& s : m.shuffles) total += s.retries;
-  return total;
-}
-
 TEST(ServerLifecycleTest, WaitForTimesOutWithoutConsumingTheResult) {
   auto catalog = MakeCatalog(51, 40, 8);
   ServerOptions so;
@@ -802,10 +864,12 @@ TEST(ServerLifecycleTest, SmallBacklogPreemptsRunningLargeBitIdentically) {
   QueryResponse large_response;
   uint64_t suspended = 0;
   for (int attempt = 0; attempt < 5 && suspended == 0; ++attempt) {
+    TraceSession trace;  // outlives the server, which records into it
     ServerOptions so;
     so.executors = 1;
     so.small_query_bytes = (small_est + large_est) / 2;
     so.preempt_small_backlog = 1;
+    so.trace = &trace;
     QueryServer server(so);
     auto* session = server.OpenSession();
     // Warm the plan cache so the triggering submission below is a cache
@@ -833,44 +897,66 @@ TEST(ServerLifecycleTest, SmallBacklogPreemptsRunningLargeBitIdentically) {
     ASSERT_TRUE(sh.Get().status.ok()) << sh.Get().status.ToString();
     large_response = lh.Get();
     suspended = server.stats().suspended;
-    if (suspended > 0) {
-      EXPECT_EQ(server.stats().resumed, suspended);
-      EXPECT_GE(large_response.lifecycle.suspends, 1u);
-      EXPECT_EQ(large_response.lifecycle.suspends,
-                large_response.lifecycle.resumes);
+    if (suspended == 0) continue;
+    EXPECT_EQ(server.stats().resumed, suspended);
+    EXPECT_GE(large_response.lifecycle.suspends, 1u);
+    EXPECT_EQ(large_response.lifecycle.suspends,
+              large_response.lifecycle.resumes);
+
+    // The trace shows the yield: the small request's exec span lies
+    // between the large request's suspend instant and its resumed exec.
+    const std::string large_exec = "exec " + lh.Get().id;
+    const std::string small_exec = "exec " + sh.Get().id;
+    double suspend_ts = -1, resume_ts = -1, small_begin = -1, small_end = -1;
+    for (const TraceEvent& e : trace.events()) {
+      if (e.phase == TraceEvent::Phase::kInstant && e.name == "suspend" &&
+          e.detail == lh.Get().id && suspend_ts < 0) {
+        suspend_ts = e.ts_us;
+      } else if (e.phase == TraceEvent::Phase::kBegin &&
+                 e.name == large_exec && suspend_ts >= 0 && resume_ts < 0) {
+        resume_ts = e.ts_us;
+      } else if (e.name == small_exec) {
+        if (e.phase == TraceEvent::Phase::kBegin) small_begin = e.ts_us;
+        if (e.phase == TraceEvent::Phase::kEnd) small_end = e.ts_us;
+      }
     }
+    ASSERT_GE(suspend_ts, 0) << "no suspend instant for " << lh.Get().id;
+    ASSERT_GE(resume_ts, 0) << "no resumed exec span for " << lh.Get().id;
+    ASSERT_GE(small_begin, 0) << "no exec span for " << sh.Get().id;
+    EXPECT_LE(suspend_ts, small_begin);
+    EXPECT_LE(small_begin, small_end);
+    EXPECT_LE(small_end, resume_ts);
   }
   EXPECT_GE(suspended, 1u) << "preemption never captured a checkpoint";
 
   // Preemption must be invisible in the result: output, every
   // deterministic metric, and the memory account all match an
   // uninterrupted solo run of the same pinned plan.
-  const QueryResponse& lr = large_response;
-  SoloRun solo = RunSolo(large_cat.get(), kTriangle, "RS_HJ", 4);
-  EXPECT_TRUE(lr.output.EqualsUnordered(solo.output));
-  EXPECT_EQ(lr.metrics.output_tuples, solo.metrics.output_tuples);
-  EXPECT_EQ(lr.metrics.TuplesShuffled(), solo.metrics.TuplesShuffled());
-  EXPECT_EQ(lr.metrics.max_intermediate_tuples,
-            solo.metrics.max_intermediate_tuples);
-  EXPECT_EQ(lr.metrics.peak_bytes, solo.metrics.peak_bytes);
-  EXPECT_EQ(lr.metrics.charged_bytes, solo.metrics.charged_bytes);
-  EXPECT_EQ(lr.counters, solo.counters) << "suspension leaked into counters";
+  SCOPED_TRACE("suspension must not leak into the result");
+  ExpectMatchesSolo(large_response,
+                    RunSolo(large_cat.get(), kTriangle, "RS_HJ", 4));
 }
 
-// Satellite proof: one query recovers from an injected mid-shuffle fault
-// while neighbours execute concurrently (watchdog armed), and every
-// response — recovered and clean alike — is bit-identical to a solo run
-// replaying the same plan and fault schedule.
+// Satellite proof: under concurrent serving with the watchdog armed, one
+// query recovers from an injected mid-shuffle fault and one from an
+// injected straggler, while neighbours run clean or stop at their first
+// poll on a cancel or deadline knob. Every ok response — recovered and
+// clean alike — is bit-identical to a solo run replaying the same plan and
+// fault schedule, and the server's outcome counts and Prometheus export
+// agree with the responses.
 TEST(ServerLifecycleTest, ConcurrentFaultRecoveryMatchesSoloReplay) {
   auto twitter = MakeCatalog(11, 150, 14);
   auto freebase = MakeCatalog(23, 90, 10);
   // Drops one channel of the first exchange on its first attempt: the
   // recovery ladder retries the exchange and converges.
   constexpr const char* kMidShuffleFault = "drop@x=0,p=1,c=2";
+  // Worker 2's first attempt of every stage runs 8x slow on the virtual
+  // clock: the watchdog (factor 4) converts it into a retry.
+  constexpr const char* kStraggler = "slow@worker=2,attempt=0,factor=8";
 
   ServerOptions so;
   so.executors = 3;
-  so.watchdog_straggle_factor = 4;  // armed; nothing straggles
+  so.watchdog_straggle_factor = 4;
   QueryServer server(so);
   auto* session = server.OpenSession();
 
@@ -879,6 +965,7 @@ TEST(ServerLifecycleTest, ConcurrentFaultRecoveryMatchesSoloReplay) {
     std::string text;
     int workers;
     std::string faults;
+    StatusCode expect;
     QueryHandle handle;
   };
   std::vector<Submitted> all;
@@ -889,37 +976,74 @@ TEST(ServerLifecycleTest, ConcurrentFaultRecoveryMatchesSoloReplay) {
     faulted.shuffle = ShuffleKind::kRegular;
     faulted.join = JoinKind::kHashJoin;
     all.push_back({twitter.get(), kTriangle, 4, kMidShuffleFault,
-                   session->Submit(faulted)});
-    all.push_back({freebase.get(), kPath, 3, "",
+                   StatusCode::kOk, session->Submit(faulted)});
+    all.push_back({freebase.get(), kPath, 3, "", StatusCode::kOk,
                    session->Submit(MakeRequest(freebase.get(), kPath, 3))});
-    all.push_back({twitter.get(), kPath, 4, "",
+    all.push_back({twitter.get(), kPath, 4, "", StatusCode::kOk,
                    session->Submit(MakeRequest(twitter.get(), kPath, 4))});
+    QueryRequest cancel = MakeRequest(twitter.get(), kTriangle, 4);
+    cancel.cancel_after_polls = 1;
+    all.push_back({twitter.get(), kTriangle, 4, "", StatusCode::kCancelled,
+                   session->Submit(cancel)});
+    QueryRequest deadline = MakeRequest(freebase.get(), kPath, 3);
+    deadline.deadline_after_polls = 1;
+    all.push_back({freebase.get(), kPath, 3, "",
+                   StatusCode::kDeadlineExceeded, session->Submit(deadline)});
+    QueryRequest straggler = MakeRequest(twitter.get(), kPath, 4);
+    straggler.faults = kStraggler;
+    all.push_back({twitter.get(), kPath, 4, kStraggler, StatusCode::kOk,
+                   session->Submit(straggler)});
   }
   server.Drain();
 
+  uint64_t cancelled = 0, deadline_exceeded = 0;
   for (const Submitted& sub : all) {
     const QueryResponse& r = sub.handle.Get();
+    if (sub.expect != StatusCode::kOk) {
+      EXPECT_EQ(r.status.code(), sub.expect) << r.id << ": "
+                                             << r.status.ToString();
+      EXPECT_TRUE(r.metrics.failed) << r.id;
+      EXPECT_TRUE(r.output.empty()) << r.id;
+      if (r.status.code() == StatusCode::kCancelled) ++cancelled;
+      if (r.status.code() == StatusCode::kDeadlineExceeded) {
+        ++deadline_exceeded;
+      }
+      continue;
+    }
     ASSERT_TRUE(r.status.ok()) << r.id << ": " << r.status.ToString();
     EXPECT_FALSE(r.metrics.failed) << r.id;
     if (!sub.faults.empty()) {
       EXPECT_GE(TotalRetries(r.metrics), 1u)
           << r.id << ": the injected fault never fired";
     }
-    SoloRun solo =
-        RunSolo(sub.catalog, sub.text, r.strategy, sub.workers, sub.faults,
-                r.bloom, so.watchdog_straggle_factor);
-    EXPECT_TRUE(r.output.EqualsUnordered(solo.output)) << r.id;
-    EXPECT_EQ(r.metrics.output_tuples, solo.metrics.output_tuples) << r.id;
-    EXPECT_EQ(r.metrics.TuplesShuffled(), solo.metrics.TuplesShuffled())
-        << r.id;
-    EXPECT_EQ(r.metrics.peak_bytes, solo.metrics.peak_bytes) << r.id;
-    EXPECT_EQ(r.metrics.charged_bytes, solo.metrics.charged_bytes) << r.id;
-    EXPECT_EQ(TotalRetries(r.metrics), TotalRetries(solo.metrics)) << r.id;
-    EXPECT_EQ(r.counters, solo.counters)
-        << r.id << " (" << r.strategy << "): counter divergence";
+    if (sub.faults == kStraggler) {
+      EXPECT_GE(r.lifecycle.watchdog_trips, 1u)
+          << r.id << ": the watchdog never caught the straggler";
+    }
+    ExpectMatchesSolo(r, RunSolo(sub.catalog, sub.text, r.strategy,
+                                 sub.workers, sub.faults, r.bloom,
+                                 so.watchdog_straggle_factor));
   }
-  EXPECT_EQ(server.stats().completed, all.size());
-  EXPECT_EQ(server.stats().failed, 0u);
+  EXPECT_EQ(cancelled, 3u);
+  EXPECT_EQ(deadline_exceeded, 3u);
+  const QueryServer::Stats stats = server.stats();
+  EXPECT_EQ(stats.completed, all.size());
+  EXPECT_EQ(stats.failed, cancelled + deadline_exceeded);
+  EXPECT_EQ(stats.cancelled, cancelled);
+  EXPECT_EQ(stats.deadline_exceeded, deadline_exceeded);
+
+  // The fleet export carries every outcome this mix provoked.
+  const std::string prom = server.RenderMetricsProm();
+  ASSERT_TRUE(ValidatePrometheusText(prom).ok())
+      << ValidatePrometheusText(prom).ToString();
+  for (const char* outcome : {"ok", "cancelled", "deadline_exceeded"}) {
+    const std::string sample =
+        std::string("ptp_server_requests_total{outcome=\"") + outcome +
+        "\"} ";
+    const size_t at = prom.find(sample);
+    ASSERT_NE(at, std::string::npos) << sample;
+    EXPECT_GT(std::stod(prom.substr(at + sample.size())), 0) << sample;
+  }
 }
 
 }  // namespace

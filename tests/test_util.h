@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "data/workloads.h"
+#include "exec/metrics.h"
 #include "query/query.h"
 #include "storage/relation.h"
 
@@ -94,6 +96,26 @@ inline Relation RandomBinaryRelation(const std::string& name,
   rel.SortAndDedup();
   rel.set_name(name);
   return rel;
+}
+
+/// The paper workloads at test size: a 400-node Twitter graph (Zipf 0.7)
+/// and Freebase at 8 % scale, seeded.
+inline WorkloadScale TinyScale() {
+  WorkloadScale scale;
+  scale.twitter.num_nodes = 400;
+  scale.twitter.num_edges = 2500;
+  scale.twitter.zipf_exponent = 0.7;
+  scale.freebase_scale = 0.08;
+  scale.seed = 99;
+  return scale;
+}
+
+/// Recovery retries booked across every stage and exchange of a run.
+inline size_t TotalRetries(const QueryMetrics& m) {
+  size_t total = 0;
+  for (const StageMetrics& s : m.stages) total += s.retries;
+  for (const ShuffleMetrics& s : m.shuffles) total += s.retries;
+  return total;
 }
 
 }  // namespace test

@@ -6,21 +6,14 @@
 #include "gtest/gtest.h"
 #include "plan/semijoin_plan.h"
 #include "plan/strategies.h"
+#include "test_util.h"
 #include "tj/order_optimizer.h"
 #include "tj/tributary_join.h"
 
 namespace ptp {
 namespace {
 
-WorkloadScale TinyScale() {
-  WorkloadScale scale;
-  scale.twitter.num_nodes = 400;
-  scale.twitter.num_edges = 2500;
-  scale.twitter.zipf_exponent = 0.7;
-  scale.freebase_scale = 0.08;
-  scale.seed = 99;
-  return scale;
-}
+using test::TinyScale;
 
 class PaperWorkloads : public ::testing::TestWithParam<int> {};
 
