@@ -55,12 +55,5 @@ Status ParallelFor(int n, const std::function<Status(int)>& body) {
   return GlobalPool().ParallelFor(n, body);
 }
 
-Status TaskGroup::Run() {
-  std::vector<std::function<Status()>> tasks = std::move(tasks_);
-  tasks_.clear();
-  return ParallelFor(static_cast<int>(tasks.size()),
-                     [&tasks](int i) { return tasks[static_cast<size_t>(i)](); });
-}
-
 }  // namespace runtime
 }  // namespace ptp

@@ -2,7 +2,6 @@
 #define PTP_RUNTIME_PARALLEL_H_
 
 #include <functional>
-#include <vector>
 
 #include "common/status.h"
 #include "runtime/thread_pool.h"
@@ -29,24 +28,6 @@ ThreadPool& GlobalPool();
 /// min(W, Threads()) OS threads; with Threads() == 1 the batch runs inline
 /// in index order, bit-identical to the old sequential engine.
 Status ParallelFor(int n, const std::function<Status(int)>& body);
-
-/// A batch of heterogeneous tasks executed as one fork-join region on the
-/// global pool. Tasks run concurrently; Run() blocks until all added tasks
-/// finished and reports the first error in *add order* (every task runs
-/// even if an earlier one fails — same contract as ParallelFor).
-class TaskGroup {
- public:
-  void Add(std::function<Status()> task) {
-    tasks_.push_back(std::move(task));
-  }
-  size_t size() const { return tasks_.size(); }
-
-  /// Runs all added tasks and clears the group.
-  Status Run();
-
- private:
-  std::vector<std::function<Status()>> tasks_;
-};
 
 }  // namespace runtime
 }  // namespace ptp

@@ -46,23 +46,23 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::WorkerMain(int index) {
   ScopedThreadIndex scoped(index);
-  uint64_t seen_epoch = 0;
+  std::unique_lock<std::mutex> lock(mu_);
   while (true) {
-    std::shared_ptr<Batch> batch;
+    work_cv_.wait(lock, [&] { return shutdown_ || !open_.empty(); });
+    if (shutdown_) return;
+    std::shared_ptr<Batch> batch = open_.front();
+    lock.unlock();
     {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [&] {
-        return shutdown_ || (batch_ != nullptr && epoch_ != seen_epoch);
-      });
-      if (shutdown_) return;
-      seen_epoch = epoch_;
-      batch = batch_;
+      // Run under the submitting thread's context so worker bodies see the
+      // same active sinks (trace/counters/meter/...) as the coordinator
+      // that opened the batch.
+      ScopedQueryContext context(batch->context);
+      RunBatch(batch.get());
     }
-    // Run under the submitting thread's context so worker bodies see the
-    // same active sinks (trace/counters/meter/...) as the coordinator that
-    // opened the batch.
-    ScopedQueryContext context(batch->context);
-    RunBatch(batch.get());
+    // Every index is claimed: retire the batch (unless another thread that
+    // also found it exhausted already did) so threads move on to the next.
+    lock.lock();
+    if (!open_.empty() && open_.front() == batch) open_.pop_front();
   }
 }
 
@@ -119,7 +119,6 @@ Status ThreadPool::ParallelFor(int n, const std::function<Status(int)>& body) {
     return Finish(statuses, exceptions);
   }
 
-  std::lock_guard<std::mutex> run_lock(run_mu_);
   auto batch = std::make_shared<Batch>();
   batch->n = n;
   batch->body = &body;
@@ -128,8 +127,7 @@ Status ThreadPool::ParallelFor(int n, const std::function<Status(int)>& body) {
   batch->exceptions = &exceptions;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    batch_ = batch;
-    ++epoch_;
+    open_.push_back(batch);
   }
   work_cv_.notify_all();
   {
@@ -137,7 +135,6 @@ Status ThreadPool::ParallelFor(int n, const std::function<Status(int)>& body) {
     done_cv_.wait(lock, [&] {
       return batch->done.load(std::memory_order_acquire) == n;
     });
-    batch_.reset();  // late wakers see no batch and go back to sleep
   }
   return Finish(statuses, exceptions);
 }

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
@@ -44,10 +45,11 @@ int CurrentThreadIndex();
 /// The context is thread-local: a context installed on one coordinator
 /// thread is invisible to other coordinator threads, which is what keeps
 /// concurrently-served queries from cross-charging each other's sinks.
-/// ParallelFor copies the caller's context into the batch and installs it
-/// on every pool thread for the duration of the batch (restoring the pool
-/// thread's own context afterwards), so worker bodies see the submitting
-/// query's sinks no matter which OS thread runs them.
+/// ParallelFor copies the caller's context into the batch, and every pool
+/// thread that joins the batch installs it while it claims the batch's
+/// tasks (restoring the pool thread's own context afterwards), so worker
+/// bodies see the submitting query's sinks no matter which OS thread runs
+/// them.
 struct QueryContext {
   CounterRegistry* counters = nullptr;
   TraceSession* trace = nullptr;
@@ -99,10 +101,17 @@ class ScopedQueryContext {
 /// exactly once for every i in [0, n), the caller blocks until all indices
 /// finished, and every index runs regardless of failures elsewhere in the
 /// batch (no early exit — see the determinism contract in
-/// docs/RUNTIME.md). Indices are claimed from a shared atomic counter, so
-/// which *thread* runs an index is nondeterministic, but as long as body(i)
-/// only writes to index-i state the observable outcome is independent of
-/// the thread count.
+/// docs/RUNTIME.md). Indices are claimed from the batch's atomic counter,
+/// so which *thread* runs an index is nondeterministic, but as long as
+/// body(i) only writes to index-i state the observable outcome is
+/// independent of the thread count.
+///
+/// Several batches may be open at once (one per concurrent caller). The
+/// pool keeps them in a FIFO: a free pool thread joins the oldest open
+/// batch, claims its indices until none are left, then moves on to the
+/// next one. So threads that would idle while a batch's slowest tasks
+/// finish serve a neighbour's batch instead. A pool thread still runs one
+/// task at a time, which keeps per-thread sink shards valid.
 ///
 /// Error aggregation is first-error-wins by *lowest index*, not by wall
 /// clock: if body(3) and body(7) both fail, the batch reports index 3's
@@ -111,10 +120,9 @@ class ScopedQueryContext {
 /// caller) and take precedence over a Status error at a higher index.
 ///
 /// Nested batches are rejected: calling ParallelFor from inside a pool task
-/// returns an Internal error without running anything. The simulated
-/// cluster has exactly one coordinator, and rejecting nesting keeps the
-/// no-deadlock proof trivial (a blocked batch can never wait on threads it
-/// itself occupies).
+/// returns an Internal error without running anything. Rejecting nesting
+/// keeps the no-deadlock proof trivial: no task waits on another batch, so
+/// every open batch drains however the threads are shared.
 class ThreadPool {
  public:
   /// Spawns `num_threads` worker threads (clamped to [1, kMaxThreads]).
@@ -131,7 +139,8 @@ class ThreadPool {
 
   /// Runs body(i) for every i in [0, n); blocks until all complete.
   /// Returns OK, or the error of the lowest failing index. Rethrows the
-  /// lowest-index exception, if any. Concurrent callers are serialized.
+  /// lowest-index exception, if any. Concurrent callers' batches share the
+  /// pool oldest first; each caller waits only for its own batch.
   Status ParallelFor(int n, const std::function<Status(int)>& body);
 
  private:
@@ -142,12 +151,13 @@ class ThreadPool {
     std::atomic<int> done{0};
     std::vector<Status>* statuses = nullptr;
     std::vector<std::exception_ptr>* exceptions = nullptr;
-    /// The submitting thread's context, installed on every pool thread for
-    /// the duration of the batch.
+    /// The submitting thread's context, installed by each pool thread
+    /// while it claims this batch's tasks.
     QueryContext context;
   };
 
   void WorkerMain(int index);
+  /// Claims and runs `batch`'s indices until none are left unclaimed.
   void RunBatch(Batch* batch);
   static Status Finish(const std::vector<Status>& statuses,
                        const std::vector<std::exception_ptr>& exceptions);
@@ -157,9 +167,9 @@ class ThreadPool {
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
   bool shutdown_ = false;
-  uint64_t epoch_ = 0;
-  std::shared_ptr<Batch> batch_;
-  std::mutex run_mu_;  // serializes ParallelFor callers
+  /// Open batches, oldest first. Reference-counted because a pool thread
+  /// may still touch a batch after its caller returned.
+  std::deque<std::shared_ptr<Batch>> open_;
   std::vector<std::thread> threads_;
 };
 

@@ -137,8 +137,8 @@ class QueryHandle {
 struct ServerOptions {
   /// Executor threads draining the queue. Each executes one query at a
   /// time end-to-end; the per-stage parallelism inside a query still comes
-  /// from the shared runtime pool (whose batches serialize, so concurrent
-  /// queries interleave at stage granularity).
+  /// from the shared runtime pool, where concurrent queries' batches are
+  /// open side by side and pool threads serve them oldest first.
   int executors = 2;
 
   /// Global admission pool: the sum of estimated (or measured) peak bytes

@@ -4,11 +4,17 @@
 // every thread count because every index runs and writes only its own state.
 // Also the per-query context: ScopedQueryContext restores on every exit
 // path, and ParallelFor carries the installing thread's context to the pool.
+// Finally concurrent batches: a batch opened behind a stalled one still
+// completes, and interleaved batches keep their own context and errors.
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "exec/lifecycle.h"
@@ -151,27 +157,6 @@ TEST(ParallelApiTest, DeterministicAcrossThreadCounts) {
   EXPECT_EQ(serial, parallel);
 }
 
-TEST(TaskGroupTest, RunsAllTasksAndAggregatesFirstError) {
-  SetThreads(4);
-  TaskGroup group;
-  std::vector<int> done(6, 0);
-  for (int i = 0; i < 6; ++i) {
-    group.Add([&done, i] {
-      done[static_cast<size_t>(i)] = i + 1;
-      return i == 2 ? Status::NotFound("task 2") : Status::OK();
-    });
-  }
-  EXPECT_EQ(group.size(), 6u);
-  Status s = group.Run();
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kNotFound);
-  for (int i = 0; i < 6; ++i) EXPECT_EQ(done[static_cast<size_t>(i)], i + 1);
-  // A drained group runs zero tasks.
-  EXPECT_EQ(group.size(), 0u);
-  EXPECT_TRUE(group.Run().ok());
-  SetThreads(0);
-}
-
 // One of each sink, so a context can name six distinct live objects.
 struct Sinks {
   CounterRegistry counters;
@@ -274,6 +259,91 @@ TEST(ScopedQueryContextTest, EmptyContextDetachesAllSixSinks) {
     EXPECT_EQ(ActiveQueryLifecycle(), nullptr);
   }
   EXPECT_EQ(CurrentQueryContext(), sinks.Context());
+}
+
+// A batch opened while an older batch's index 0 is stalled completes before
+// the stall is released: the free pool threads finish the older batch's
+// other indices and then serve the newer batch instead of waiting behind it.
+TEST(ConcurrentBatchTest, LaterBatchCompletesWhileEarlierBatchStalls) {
+  ThreadPool pool(4);
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  std::promise<void> stalled;
+  Status first;
+  std::thread first_caller([&] {
+    first = pool.ParallelFor(8, [&](int i) {
+      if (i != 0) return Status::OK();
+      stalled.set_value();
+      // Bounded, so a pool that serializes batches fails instead of hangs.
+      if (released.wait_for(std::chrono::seconds(10)) !=
+          std::future_status::ready) {
+        return Status::DeadlineExceeded("index 0 was never released");
+      }
+      return Status::OK();
+    });
+  });
+  stalled.get_future().wait();
+
+  std::vector<int> out(16, 0);
+  const Status second = pool.ParallelFor(16, [&](int i) {
+    out[static_cast<size_t>(i)] = i + 1;
+    return Status::OK();
+  });
+  release.set_value();
+  first_caller.join();
+
+  ASSERT_TRUE(second.ok()) << second.ToString();
+  for (int i = 0; i < 16; ++i) EXPECT_EQ(out[static_cast<size_t>(i)], i + 1);
+  // The release came only after the second batch returned, so an OK first
+  // batch proves the second one completed inside the stall.
+  EXPECT_TRUE(first.ok()) << first.ToString();
+}
+
+// Two coordinator threads, each under its own context, run interleaved
+// batches on one pool. Every body sees only its own coordinator's context,
+// and every batch reports its own lowest-index error (rethrown, where the
+// lowest failing index threw, ahead of a higher-index Status error).
+TEST(ConcurrentBatchTest, InterleavedCoordinatorsKeepOwnContextAndErrors) {
+  constexpr int kRounds = 24;
+  constexpr int kTasks = 16;
+  ThreadPool pool(4);
+  Sinks sinks[2];
+  std::atomic<int> foreign_context{0};
+  std::atomic<int> wrong_outcome{0};
+  auto coordinator = [&](int c) {
+    const QueryContext own = sinks[c].Context();
+    ScopedQueryContext scope(own);
+    for (int round = 0; round < kRounds; ++round) {
+      const int fail_at = (round + 5 * c) % (kTasks - 4);
+      const bool throws = round % 3 == 2;
+      const std::string tag =
+          "coordinator " + std::to_string(c) + " index " +
+          std::to_string(fail_at);
+      try {
+        const Status s = pool.ParallelFor(kTasks, [&](int i) -> Status {
+          if (CurrentQueryContext() != own) foreign_context.fetch_add(1);
+          // Uneven task lengths so the two coordinators' batches overlap.
+          volatile uint64_t spin = 0;
+          for (int k = 0; k < 2000 * (i % 4 + 1); ++k) spin = spin + k;
+          if (throws && i == fail_at) throw std::runtime_error(tag);
+          if (i == fail_at) return Status::Internal(tag);
+          if (i == fail_at + 3) return Status::NotFound("higher index");
+          return Status::OK();
+        });
+        if (throws || s.code() != StatusCode::kInternal || s.message() != tag) {
+          wrong_outcome.fetch_add(1);
+        }
+      } catch (const std::runtime_error& e) {
+        if (!throws || e.what() != tag) wrong_outcome.fetch_add(1);
+      }
+    }
+  };
+  std::thread a(coordinator, 0);
+  std::thread b(coordinator, 1);
+  a.join();
+  b.join();
+  EXPECT_EQ(foreign_context.load(), 0);
+  EXPECT_EQ(wrong_outcome.load(), 0);
 }
 
 }  // namespace

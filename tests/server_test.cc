@@ -856,78 +856,70 @@ TEST(ServerLifecycleTest, SmallBacklogPreemptsRunningLargeBitIdentically) {
   const uint64_t large_est = EstimateFor(large_cat.get(), kTriangle, 4);
   ASSERT_LT(small_est, large_est);
 
-  // The preemption request must land while the large query is still
-  // between round barriers — a real-time window (its first join round, on
-  // this catalog tens of milliseconds wide against a cache-hit submit).
-  // The scenario retries a few times before declaring the policy broken;
-  // the bit-identity requirement below holds on whichever attempt won.
-  QueryResponse large_response;
-  uint64_t suspended = 0;
-  for (int attempt = 0; attempt < 5 && suspended == 0; ++attempt) {
-    TraceSession trace;  // outlives the server, which records into it
-    ServerOptions so;
-    so.executors = 1;
-    so.small_query_bytes = (small_est + large_est) / 2;
-    so.preempt_small_backlog = 1;
-    so.trace = &trace;
-    QueryServer server(so);
-    auto* session = server.OpenSession();
-    // Warm the plan cache so the triggering submission below is a cache
-    // hit that reaches the scheduler with minimal latency.
-    session->Submit(MakeRequest(small_cat.get(), kTriangle, 2));
-    server.Drain();
+  // Deterministic setup, no real-time window: the server starts paused
+  // with arrivals small, large, small. The first small dispatch uses up the
+  // small_per_large window of one, so the large query is dispatched next —
+  // over the standing small backlog, which (level-triggered preemption)
+  // asks it to yield at its first round barrier. The second small query
+  // then runs before the large query resumes.
+  TraceSession trace;  // outlives the server, which records into it
+  ServerOptions so;
+  so.executors = 1;
+  so.start_paused = true;
+  so.small_query_bytes = (small_est + large_est) / 2;
+  so.small_per_large = 1;
+  so.preempt_small_backlog = 1;
+  so.trace = &trace;
+  QueryServer server(so);
+  auto* session = server.OpenSession();
+  QueryHandle first_small =
+      session->Submit(MakeRequest(small_cat.get(), kTriangle, 2));
+  // Pinned to the multi-round regular shuffle so suspension has barriers
+  // to honor.
+  QueryRequest large = MakeRequest(large_cat.get(), kTriangle, 4);
+  large.force_strategy = true;
+  large.shuffle = ShuffleKind::kRegular;
+  large.join = JoinKind::kHashJoin;
+  QueryHandle lh = session->Submit(large);
+  QueryHandle sh = session->Submit(MakeRequest(small_cat.get(), kTriangle, 2));
+  server.Start();
+  server.Drain();
 
-    // The large query runs alone first — pinned to the multi-round
-    // regular shuffle so suspension has barriers to honor...
-    QueryRequest large = MakeRequest(large_cat.get(), kTriangle, 4);
-    large.force_strategy = true;
-    large.shuffle = ShuffleKind::kRegular;
-    large.join = JoinKind::kHashJoin;
-    QueryHandle lh = session->Submit(large);
-    while (server.stats().large_dispatched == 0) std::this_thread::yield();
-
-    // ...then a small query crosses the preemption threshold: the running
-    // large query is asked to checkpoint at its next round barrier and the
-    // freed executor serves the small query first.
-    QueryHandle sh =
-        session->Submit(MakeRequest(small_cat.get(), kTriangle, 2));
-    server.Drain();
-
-    ASSERT_TRUE(lh.Get().status.ok()) << lh.Get().status.ToString();
-    ASSERT_TRUE(sh.Get().status.ok()) << sh.Get().status.ToString();
-    large_response = lh.Get();
-    suspended = server.stats().suspended;
-    if (suspended == 0) continue;
-    EXPECT_EQ(server.stats().resumed, suspended);
-    EXPECT_GE(large_response.lifecycle.suspends, 1u);
-    EXPECT_EQ(large_response.lifecycle.suspends,
-              large_response.lifecycle.resumes);
-
-    // The trace shows the yield: the small request's exec span lies
-    // between the large request's suspend instant and its resumed exec.
-    const std::string large_exec = "exec " + lh.Get().id;
-    const std::string small_exec = "exec " + sh.Get().id;
-    double suspend_ts = -1, resume_ts = -1, small_begin = -1, small_end = -1;
-    for (const TraceEvent& e : trace.events()) {
-      if (e.phase == TraceEvent::Phase::kInstant && e.name == "suspend" &&
-          e.detail == lh.Get().id && suspend_ts < 0) {
-        suspend_ts = e.ts_us;
-      } else if (e.phase == TraceEvent::Phase::kBegin &&
-                 e.name == large_exec && suspend_ts >= 0 && resume_ts < 0) {
-        resume_ts = e.ts_us;
-      } else if (e.name == small_exec) {
-        if (e.phase == TraceEvent::Phase::kBegin) small_begin = e.ts_us;
-        if (e.phase == TraceEvent::Phase::kEnd) small_end = e.ts_us;
-      }
-    }
-    ASSERT_GE(suspend_ts, 0) << "no suspend instant for " << lh.Get().id;
-    ASSERT_GE(resume_ts, 0) << "no resumed exec span for " << lh.Get().id;
-    ASSERT_GE(small_begin, 0) << "no exec span for " << sh.Get().id;
-    EXPECT_LE(suspend_ts, small_begin);
-    EXPECT_LE(small_begin, small_end);
-    EXPECT_LE(small_end, resume_ts);
-  }
+  ASSERT_TRUE(first_small.Get().status.ok())
+      << first_small.Get().status.ToString();
+  ASSERT_TRUE(lh.Get().status.ok()) << lh.Get().status.ToString();
+  ASSERT_TRUE(sh.Get().status.ok()) << sh.Get().status.ToString();
+  const QueryResponse& large_response = lh.Get();
+  const uint64_t suspended = server.stats().suspended;
   EXPECT_GE(suspended, 1u) << "preemption never captured a checkpoint";
+  EXPECT_EQ(server.stats().resumed, suspended);
+  EXPECT_GE(large_response.lifecycle.suspends, 1u);
+  EXPECT_EQ(large_response.lifecycle.suspends,
+            large_response.lifecycle.resumes);
+
+  // The trace shows the yield: the small request's exec span lies between
+  // the large request's suspend instant and its resumed exec.
+  const std::string large_exec = "exec " + lh.Get().id;
+  const std::string small_exec = "exec " + sh.Get().id;
+  double suspend_ts = -1, resume_ts = -1, small_begin = -1, small_end = -1;
+  for (const TraceEvent& e : trace.events()) {
+    if (e.phase == TraceEvent::Phase::kInstant && e.name == "suspend" &&
+        e.detail == lh.Get().id && suspend_ts < 0) {
+      suspend_ts = e.ts_us;
+    } else if (e.phase == TraceEvent::Phase::kBegin && e.name == large_exec &&
+               suspend_ts >= 0 && resume_ts < 0) {
+      resume_ts = e.ts_us;
+    } else if (e.name == small_exec) {
+      if (e.phase == TraceEvent::Phase::kBegin) small_begin = e.ts_us;
+      if (e.phase == TraceEvent::Phase::kEnd) small_end = e.ts_us;
+    }
+  }
+  ASSERT_GE(suspend_ts, 0) << "no suspend instant for " << lh.Get().id;
+  ASSERT_GE(resume_ts, 0) << "no resumed exec span for " << lh.Get().id;
+  ASSERT_GE(small_begin, 0) << "no exec span for " << sh.Get().id;
+  EXPECT_LE(suspend_ts, small_begin);
+  EXPECT_LE(small_begin, small_end);
+  EXPECT_LE(small_end, resume_ts);
 
   // Preemption must be invisible in the result: output, every
   // deterministic metric, and the memory account all match an
