@@ -61,19 +61,6 @@ double ExactFirstJoinSize(const NormalizedAtom& a, const NormalizedAtom& b) {
   return total;
 }
 
-// Largest single-value frequency in column `col` of `rel`.
-size_t MaxValueFrequency(const Relation& rel, size_t col) {
-  FlatCounter counts;
-  counts.Reserve(rel.NumTuples());
-  size_t max_count = 0;
-  for (size_t row = 0; row < rel.NumTuples(); ++row) {
-    const uint64_t c =
-        counts.Add(static_cast<uint64_t>(rel.At(row, col)), 1);
-    max_count = std::max(max_count, static_cast<size_t>(c));
-  }
-  return max_count;
-}
-
 // Fraction of the second atom's tuples whose join-key value never occurs on
 // the first atom after the predicates decidable there are applied — an
 // exact stand-in for what a build-side bloom filter would drop at the first
@@ -214,7 +201,8 @@ BlindEstimates BlindAdvice(const NormalizedQuery& query, int num_workers) {
           std::max(1.0, static_cast<double>(first.relation.NumTuples()) / w);
       advice.est_rs_skew = std::max(
           advice.est_rs_skew,
-          static_cast<double>(MaxValueFrequency(first.relation, col)) /
+          static_cast<double>(
+              AtomColumnStats(first, {static_cast<int>(col)}).max_frequency) /
               avg_load);
     }
   }

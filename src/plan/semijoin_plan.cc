@@ -144,6 +144,7 @@ Result<StrategyResult> RunSemijoinPlan(const ConjunctiveQuery& query,
   NormalizedQuery reduced = normalized;
   for (size_t i = 0; i < rels.size(); ++i) {
     reduced.atoms[i].relation = Gather(rels[i]);
+    reduced.atoms[i].stats = nullptr;  // the base's statistics no longer hold
   }
   PTP_ASSIGN_OR_RETURN(
       StrategyResult final_join,

@@ -6,7 +6,6 @@
 #include <set>
 
 #include "common/logging.h"
-#include "storage/stats.h"
 
 namespace ptp {
 namespace {
@@ -22,8 +21,8 @@ AtomStats ComputeAtomStats(const NormalizedAtom& atom) {
   AtomStats s;
   s.card = static_cast<double>(atom.relation.NumTuples());
   for (size_t col = 0; col < atom.variables.size(); ++col) {
-    s.distinct[atom.variables[col]] =
-        static_cast<double>(CountDistinct(atom.relation, col));
+    s.distinct[atom.variables[col]] = static_cast<double>(
+        AtomColumnStats(atom, {static_cast<int>(col)}).distinct);
   }
   return s;
 }

@@ -195,6 +195,12 @@ std::vector<std::string> NormalizedQuery::Variables() const {
   return vars;
 }
 
+ColumnSetStats AtomColumnStats(const NormalizedAtom& atom,
+                               std::vector<int> cols) {
+  return atom.stats != nullptr ? atom.stats->Get(atom.relation, std::move(cols))
+                               : CountColumnSet(atom.relation, std::move(cols));
+}
+
 Result<NormalizedQuery> Normalize(const ConjunctiveQuery& query,
                                   const Catalog& catalog) {
   PTP_RETURN_IF_ERROR(query.Validate(catalog));
@@ -217,14 +223,17 @@ Result<NormalizedQuery> Normalize(const ConjunctiveQuery& query,
       }
     }
 
+    // Columns are named by the atom's variables, so downstream operators
+    // can match columns by variable.
+    norm.relation = Relation(atom.relation, Schema(norm.variables));
     const bool needs_filter =
         keep_cols.size() != atom.terms.size();  // constants or repeats
     if (!needs_filter) {
-      norm.relation = *base;
-      norm.relation.set_name(atom.relation);
+      // Every term is a distinct variable: keep_cols is the identity, so
+      // the atom is the base relation renamed and shares its statistics.
+      norm.relation.mutable_data() = base->data();
+      norm.stats = catalog.Stats(atom.relation);
     } else {
-      Schema schema(norm.variables);
-      Relation filtered(atom.relation, schema);
       for (size_t row = 0; row < base->NumTuples(); ++row) {
         const Value* r = base->Row(row);
         bool match = true;
@@ -248,26 +257,8 @@ Result<NormalizedQuery> Normalize(const ConjunctiveQuery& query,
         Tuple t;
         t.reserve(keep_cols.size());
         for (int c : keep_cols) t.push_back(r[static_cast<size_t>(c)]);
-        filtered.AddTuple(t);
+        norm.relation.AddTuple(t);
       }
-      norm.relation = std::move(filtered);
-    }
-    // Rename columns to the variable names so downstream operators can match
-    // columns by variable.
-    norm.relation = norm.relation.PermuteColumns(
-        [&] {
-          std::vector<int> identity(norm.variables.size());
-          for (size_t i = 0; i < identity.size(); ++i) {
-            identity[i] = needs_filter ? static_cast<int>(i) : keep_cols[i];
-          }
-          return identity;
-        }(),
-        atom.relation);
-    {
-      // Overwrite schema names with variable names.
-      Relation renamed(norm.relation.name(), Schema(norm.variables));
-      renamed.mutable_data() = std::move(norm.relation.mutable_data());
-      norm.relation = std::move(renamed);
     }
     out.atoms.push_back(std::move(norm));
   }

@@ -1,11 +1,13 @@
 #ifndef PTP_QUERY_QUERY_H_
 #define PTP_QUERY_QUERY_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "storage/catalog.h"
+#include "storage/stats.h"
 #include "storage/value.h"
 
 namespace ptp {
@@ -122,7 +124,19 @@ struct NormalizedAtom {
   /// Materialized input after pushing down constant selections and resolving
   /// repeated variables within the atom.
   Relation relation;
+  /// The base relation's statistics memo (Catalog::Stats) when `relation`
+  /// is the base relation unfiltered: every term a distinct variable, so
+  /// its columns are the base columns in order. Null for a filtered atom,
+  /// whose statistics are counted on its own rows. Whoever replaces
+  /// `relation` resets this.
+  std::shared_ptr<RelationStatsMemo> stats = nullptr;
 };
+
+/// Exact statistics of `atom`'s projection onto its columns `cols` (a set):
+/// read from the base relation's memo when the atom has one, counted on the
+/// atom's rows otherwise.
+ColumnSetStats AtomColumnStats(const NormalizedAtom& atom,
+                               std::vector<int> cols);
 
 /// Normalized query: constants pushed into selections, every atom's columns
 /// are distinct variables. This is the form all execution strategies consume

@@ -2,12 +2,14 @@
 #define PTP_STORAGE_CATALOG_H_
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "storage/dictionary.h"
 #include "storage/relation.h"
+#include "storage/stats.h"
 
 namespace ptp {
 
@@ -18,7 +20,8 @@ class Catalog {
  public:
   Catalog() = default;
 
-  /// Registers `rel` under rel.name(); replaces any existing entry.
+  /// Registers `rel` under rel.name(); replaces any existing entry and its
+  /// statistics.
   void Put(Relation rel);
 
   /// Looks up a relation by name.
@@ -27,6 +30,11 @@ class Catalog {
   bool Contains(const std::string& name) const {
     return relations_.count(name) > 0;
   }
+
+  /// The statistics memo of relation `name` (null when absent): shared by
+  /// every query normalized against this catalog until the next Put of
+  /// `name`, so each count is computed once per relation version.
+  std::shared_ptr<RelationStatsMemo> Stats(const std::string& name) const;
 
   /// Names of all registered relations, sorted.
   std::vector<std::string> Names() const;
@@ -38,7 +46,11 @@ class Catalog {
   size_t TotalTuples() const;
 
  private:
-  std::map<std::string, Relation> relations_;
+  struct Entry {
+    Relation relation;
+    std::shared_ptr<RelationStatsMemo> stats;
+  };
+  std::map<std::string, Entry> relations_;
   Dictionary dictionary_;
 };
 

@@ -1,72 +1,70 @@
 #include "storage/stats.h"
 
 #include <algorithm>
-#include <sstream>
+#include <numeric>
 
+#include "runtime/thread_pool.h"
 #include "storage/sort.h"
 
 namespace ptp {
 
-size_t CountDistinct(const Relation& rel, size_t col) {
-  PTP_CHECK_LT(col, rel.arity());
-  std::vector<Value> values;
-  values.reserve(rel.NumTuples());
-  for (size_t row = 0; row < rel.NumTuples(); ++row) {
-    values.push_back(rel.At(row, col));
-  }
-  std::sort(values.begin(), values.end());
-  return static_cast<size_t>(
-      std::unique(values.begin(), values.end()) - values.begin());
-}
-
-size_t CountDistinctPrefixes(const Relation& rel, size_t prefix_len) {
-  PTP_CHECK_LE(prefix_len, rel.arity());
-  if (prefix_len == 0) return rel.NumTuples() == 0 ? 0 : 1;
-  // Copy the prefix columns, sort, count uniques.
-  std::vector<Value> prefixes;
-  prefixes.reserve(rel.NumTuples() * prefix_len);
-  for (size_t row = 0; row < rel.NumTuples(); ++row) {
+ColumnSetStats CountColumnSet(const Relation& rel, std::vector<int> cols) {
+  std::sort(cols.begin(), cols.end());
+  cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+  const size_t n = rel.NumTuples();
+  const size_t width = cols.size();
+  if (n == 0) return {};
+  if (width == 0) return {1, n};
+  for (int c : cols) PTP_CHECK(c >= 0 && static_cast<size_t>(c) < rel.arity());
+  runtime::ScopedQueryContext detached{runtime::QueryContext{}};
+  std::vector<Value> rows;
+  rows.reserve(n * width);
+  for (size_t row = 0; row < n; ++row) {
     const Value* r = rel.Row(row);
-    prefixes.insert(prefixes.end(), r, r + prefix_len);
+    for (int c : cols) rows.push_back(r[c]);
   }
-  SortRowsLex(&prefixes, prefix_len);
-  size_t n = prefixes.size() / prefix_len;
-  size_t count = n > 0 ? 1 : 0;
-  for (size_t i = 1; i < n; ++i) {
-    if (CompareRows(prefixes.data() + (i - 1) * prefix_len,
-                    prefixes.data() + i * prefix_len, prefix_len) != 0) {
-      ++count;
+  SortRowsLex(&rows, width);
+  ColumnSetStats stats;
+  size_t run = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (i == 0 || CompareRows(rows.data() + (i - 1) * width,
+                              rows.data() + i * width, width) != 0) {
+      ++stats.distinct;
+      run = 0;
     }
-  }
-  return count;
-}
-
-RelationStats ComputeStats(const Relation& rel) {
-  RelationStats stats;
-  stats.cardinality = rel.NumTuples();
-  stats.distinct_per_column.resize(rel.arity());
-  stats.prefix_distinct.resize(rel.arity());
-  for (size_t col = 0; col < rel.arity(); ++col) {
-    stats.distinct_per_column[col] = CountDistinct(rel, col);
-    stats.prefix_distinct[col] = CountDistinctPrefixes(rel, col + 1);
+    stats.max_frequency = std::max(stats.max_frequency, ++run);
   }
   return stats;
 }
 
-std::string RelationStats::ToString() const {
-  std::ostringstream os;
-  os << "card=" << cardinality << " distinct=[";
-  for (size_t i = 0; i < distinct_per_column.size(); ++i) {
-    if (i > 0) os << ",";
-    os << distinct_per_column[i];
+size_t CountDistinctPrefixes(const Relation& rel, size_t prefix_len) {
+  PTP_CHECK_LE(prefix_len, rel.arity());
+  std::vector<int> cols(prefix_len);
+  std::iota(cols.begin(), cols.end(), 0);
+  return CountColumnSet(rel, std::move(cols)).distinct;
+}
+
+ColumnSetStats RelationStatsMemo::Get(const Relation& rel,
+                                      std::vector<int> cols) {
+  // A different cardinality means the caller's rows are not this memo's
+  // relation (e.g. an atom whose relation was replaced after Normalize).
+  PTP_CHECK_EQ(rel.NumTuples(), rows_);
+  std::sort(cols.begin(), cols.end());
+  cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = sets_.find(cols);
+    if (it != sets_.end()) return it->second;
   }
-  os << "] prefix_distinct=[";
-  for (size_t i = 0; i < prefix_distinct.size(); ++i) {
-    if (i > 0) os << ",";
-    os << prefix_distinct[i];
-  }
-  os << "]";
-  return os.str();
+  const ColumnSetStats stats = CountColumnSet(rel, cols);
+  std::lock_guard<std::mutex> lock(mu_);
+  ++counts_;
+  return sets_.emplace(std::move(cols), stats).first->second;
+}
+
+size_t RelationStatsMemo::counts() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return counts_;
 }
 
 }  // namespace ptp

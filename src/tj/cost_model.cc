@@ -3,15 +3,30 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/logging.h"
-#include "runtime/thread_pool.h"
-#include "storage/stats.h"
 
 namespace ptp {
 
-TJCostModel::TJCostModel(std::vector<const Relation*> inputs)
-    : inputs_(std::move(inputs)) {}
+TJCostModel::TJCostModel(std::vector<const Relation*> inputs) {
+  inputs_.reserve(inputs.size());
+  for (const Relation* rel : inputs) {
+    inputs_.push_back(
+        {rel, std::make_shared<RelationStatsMemo>(rel->NumTuples())});
+  }
+}
+
+TJCostModel::TJCostModel(const NormalizedQuery& query) {
+  inputs_.reserve(query.atoms.size());
+  for (const NormalizedAtom& atom : query.atoms) {
+    inputs_.push_back(
+        {&atom.relation,
+         atom.stats != nullptr
+             ? atom.stats
+             : std::make_shared<RelationStatsMemo>(atom.relation.NumTuples())});
+  }
+}
 
 double TJCostModel::PrefixDistinct(size_t input, const std::vector<int>& perm,
                                    size_t len) {
@@ -19,21 +34,10 @@ double TJCostModel::PrefixDistinct(size_t input, const std::vector<int>& perm,
   // The number of distinct prefixes depends only on which columns the
   // prefix holds — not on their order, nor on the columns after it — so
   // every order sharing a column set shares one count.
+  const Input& in = inputs_[input];
   std::vector<int> cols(perm.begin(), perm.begin() + static_cast<long>(len));
-  std::sort(cols.begin(), cols.end());
-  auto key = std::make_pair(input, cols);
-  auto it = memo_.find(key);
-  if (it != memo_.end()) return it->second;
-  // Statistics are planning work, not query execution: count with every
-  // per-query sink detached, so a run whose order came from a plan cache
-  // publishes the same counters and memory account as one that ran the
-  // optimizer.
-  runtime::ScopedQueryContext detached{runtime::QueryContext{}};
-  Relation prefix = inputs_[input]->PermuteColumns(cols, "prefix");
-  const double count = static_cast<double>(
-      CountDistinctPrefixes(prefix, prefix.arity()));
-  memo_.emplace(std::move(key), count);
-  return count;
+  return static_cast<double>(
+      in.stats->Get(*in.relation, std::move(cols)).distinct);
 }
 
 std::vector<double> TJCostModel::StepSizes(
@@ -46,7 +50,7 @@ std::vector<double> TJCostModel::StepSizes(
   };
   std::vector<InputOrder> orders(inputs_.size());
   for (size_t i = 0; i < inputs_.size(); ++i) {
-    const Schema& schema = inputs_[i]->schema();
+    const Schema& schema = inputs_[i].relation->schema();
     std::vector<std::pair<int, int>> order_and_col;
     for (size_t col = 0; col < schema.arity(); ++col) {
       int idx = -1;

@@ -1,12 +1,12 @@
 #ifndef PTP_TJ_COST_MODEL_H_
 #define PTP_TJ_COST_MODEL_H_
 
-#include <map>
+#include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "storage/relation.h"
+#include "query/query.h"
+#include "storage/stats.h"
 
 namespace ptp {
 
@@ -24,14 +24,20 @@ namespace ptp {
 /// The total cost (estimated number of binary searches) follows the
 /// recursion of Eq. (4):   Cost_i = S_i + S_i * Cost_{i+1}.
 ///
-/// Prefix-distinct statistics are computed lazily per (atom, set of prefix
-/// columns) and memoized: V(R, p) does not depend on the order of p's
-/// columns, so evaluating all n! orders of a query counts each atom-local
-/// column subset only once.
+/// V(R, p) does not depend on the order of p's columns, so the model reads
+/// it per (input, column set) from a RelationStatsMemo: evaluating all n!
+/// orders of a query counts each atom-local column subset at most once, and
+/// an atom that carries its base relation's memo (NormalizedAtom::stats)
+/// reads counts that earlier queries over the same relation already made.
 class TJCostModel {
  public:
-  /// `inputs` must outlive the model; schemas carry variable names.
+  /// `inputs` must outlive the model; schemas carry variable names. The
+  /// model counts their statistics itself, each column set once.
   explicit TJCostModel(std::vector<const Relation*> inputs);
+
+  /// The atoms of `query` (which must outlive the model) as inputs, each
+  /// read through its base relation's memo where it has one.
+  explicit TJCostModel(const NormalizedQuery& query);
 
   /// Estimated cost of `var_order` (must cover all input variables).
   double EstimateCost(const std::vector<std::string>& var_order);
@@ -41,13 +47,16 @@ class TJCostModel {
   std::vector<double> StepSizes(const std::vector<std::string>& var_order);
 
  private:
+  struct Input {
+    const Relation* relation;
+    std::shared_ptr<RelationStatsMemo> stats;
+  };
+
   /// V(R_input, prefix of length `len` under column permutation `perm`).
   double PrefixDistinct(size_t input, const std::vector<int>& perm,
                         size_t len);
 
-  std::vector<const Relation*> inputs_;
-  /// Memo: (input, ascending prefix columns) -> distinct count.
-  std::map<std::pair<size_t, std::vector<int>>, double> memo_;
+  std::vector<Input> inputs_;
 };
 
 /// Folds step sizes into the Eq. (4) cost.

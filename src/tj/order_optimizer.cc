@@ -24,22 +24,13 @@ void SplitVariables(const NormalizedQuery& query,
   }
 }
 
-std::vector<const Relation*> InputPtrs(const NormalizedQuery& query) {
-  std::vector<const Relation*> inputs;
-  inputs.reserve(query.atoms.size());
-  for (const NormalizedAtom& atom : query.atoms) {
-    inputs.push_back(&atom.relation);
-  }
-  return inputs;
-}
-
 }  // namespace
 
 OrderChoice OptimizeVariableOrder(const NormalizedQuery& query,
                                   const OrderOptimizerOptions& options) {
   std::vector<std::string> join_vars, local_vars;
   SplitVariables(query, &join_vars, &local_vars);
-  TJCostModel model(InputPtrs(query));
+  TJCostModel model(query);
 
   OrderChoice best;
   best.estimated_cost = std::numeric_limits<double>::infinity();
@@ -96,7 +87,7 @@ std::vector<OrderChoice> EnumerateOrders(const NormalizedQuery& query,
                                          size_t max_orders) {
   std::vector<std::string> join_vars, local_vars;
   SplitVariables(query, &join_vars, &local_vars);
-  TJCostModel model(InputPtrs(query));
+  TJCostModel model(query);
 
   std::vector<OrderChoice> choices;
   std::vector<std::string> perm = join_vars;

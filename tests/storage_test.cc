@@ -113,12 +113,18 @@ TEST(StatsTest, DistinctAndPrefixCounts) {
   r.AddTuple({1, 2});
   r.AddTuple({2, 1});
   r.AddTuple({2, 1});  // duplicate row
-  RelationStats s = ComputeStats(r);
-  EXPECT_EQ(s.cardinality, 4u);
-  EXPECT_EQ(s.distinct_per_column[0], 2u);
-  EXPECT_EQ(s.distinct_per_column[1], 2u);
-  EXPECT_EQ(s.prefix_distinct[0], 2u);  // V(R, (a))
-  EXPECT_EQ(s.prefix_distinct[1], 3u);  // V(R, (a,b))
+  RelationStatsMemo memo(r.NumTuples());
+  EXPECT_EQ(memo.Get(r, {0}).distinct, 2u);       // V(R, (a))
+  EXPECT_EQ(memo.Get(r, {1}).distinct, 2u);       // V(R, (b))
+  EXPECT_EQ(memo.Get(r, {0, 1}).distinct, 3u);    // V(R, (a,b))
+  EXPECT_EQ(memo.Get(r, {1, 0}).distinct, 3u);    // a set: order is moot
+  EXPECT_EQ(memo.Get(r, {1}).max_frequency, 3u);  // b = 1 three times
+  EXPECT_EQ(memo.Get(r, {0, 1}).max_frequency, 2u);
+  EXPECT_EQ(memo.Get(r, {}).distinct, 1u);
+  EXPECT_EQ(memo.counts(), 4u);  // {0}, {1}, {0,1}, {}: each counted once
+  EXPECT_EQ(CountDistinctPrefixes(r, 1), 2u);
+  EXPECT_EQ(CountDistinctPrefixes(r, 2), 3u);
+  EXPECT_EQ(CountColumnSet(Relation("E", Schema{"a"}), {0}).distinct, 0u);
 }
 
 TEST(DictionaryTest, InternIsIdempotent) {
