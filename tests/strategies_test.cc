@@ -10,6 +10,8 @@
 #include "fault/fault.h"
 #include "gtest/gtest.h"
 #include "obs/counters.h"
+#include "obs/profile.h"
+#include "obs/profile_report.h"
 #include "obs/resource.h"
 #include "query/parser.h"
 #include "runtime/parallel.h"
@@ -396,6 +398,15 @@ uint64_t HashText(const std::string& text) {
   return HashCombine(h, text.size());
 }
 
+uint64_t DigestTextAndOutput(const std::string& text, const Relation& output) {
+  uint64_t h = HashText(text);
+  h = HashCombine(h, output.arity());
+  for (Value v : output.data()) {
+    h = HashCombine(h, Mix64(static_cast<uint64_t>(v)));
+  }
+  return h;
+}
+
 // Runs one strategy under `schedule` and digests its full report.
 uint64_t GoldenDigest(const NormalizedQuery& q, ShuffleKind shuffle,
                       JoinKind join, GoldenSchedule schedule) {
@@ -437,12 +448,7 @@ uint64_t GoldenDigest(const NormalizedQuery& q, ShuffleKind shuffle,
   }
   text << "bytes " << m.peak_bytes << '|' << m.charged_bytes << '\n';
   text << "polls " << lifecycle.stats().polls << '\n';
-  uint64_t h = HashText(text.str());
-  h = HashCombine(h, result->output.arity());
-  for (Value v : result->output.data()) {
-    h = HashCombine(h, Mix64(static_cast<uint64_t>(v)));
-  }
-  return h;
+  return DigestTextAndOutput(text.str(), result->output);
 }
 
 struct GoldenStrategy {
@@ -680,6 +686,215 @@ TEST(StrategyGolden, EveryStrategyReportMatchesGoldenUnderFiveSchedules) {
     }
   }
   EXPECT_EQ(checked, std::size(kGoldenStrategies));
+}
+
+// ---------------------------------------------------------------------------
+// ExchangeGolden: the exchange paths StrategyGolden's default options never
+// take, pinned for Q1-Q8 x RS_HJ/RS_TJ. Bloom filters pushed into the probe
+// shuffles; the skew-aware pair at a threshold where heavy keys exist, so
+// right sides broadcast replicas; a profile armed, its timing-free JSON in
+// the digest; and a drop+dup schedule that hits a filtered, skew-aware
+// exchange. Each digest also covers every shuffle's bloom accounting and
+// skew factors.
+// ---------------------------------------------------------------------------
+
+// Low enough that the zipfian Twitter edges and Freebase's shared objects
+// have heavy keys on the left side of most rounds at GoldenScale().
+constexpr double kGoldenSkewThreshold = 0.25;
+
+enum ExchangeConfig {
+  kBloom,                // bloom filters on every probe shuffle
+  kSkewAware,            // skew-aware pairs, heavy keys present
+  kBothProfiled,         // bloom + skew-aware, profile armed
+  kBothFaultedProfiled,  // the same under channel drops and duplicates
+  kNumExchangeConfigs,
+};
+
+struct ExchangeRun {
+  uint64_t digest = 0;
+  // Right sides of skew-aware exchanges that broadcast heavy-key replicas
+  // (tuples_sent above the rows that passed the filter).
+  size_t replicating_right_sides = 0;
+  size_t retries = 0;
+  size_t dups_deduped = 0;
+};
+
+ExchangeRun ExchangeGoldenRun(const NormalizedQuery& q, JoinKind join,
+                              ExchangeConfig config) {
+  StrategyOptions opts;
+  opts.num_workers = 16;
+  opts.bloom = config != kSkewAware;
+  opts.rs_skew_aware = config != kBloom;
+  opts.skew_threshold = kGoldenSkewThreshold;
+  CounterRegistry registry;
+  ResourceMeter meter;
+  QueryLifecycle lifecycle;
+  QueryProfile profile;
+  const bool profiled =
+      config == kBothProfiled || config == kBothFaultedProfiled;
+  std::unique_ptr<FaultInjector> injector;
+  if (config == kBothFaultedProfiled) {
+    // Exchange sites of a bloom + skew-aware run: x=2k is round k+1's left
+    // side, x=2k+1 its filtered right side. The first attempt of round 1's
+    // right side loses producer 0's channels and duplicates producer 1's;
+    // round 2's left side duplicates its channels to consumer 2.
+    auto plan = FaultPlan::Parse("drop@x=1,p=0;dup@x=1,p=1;dup@x=2,c=2");
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    injector = std::make_unique<FaultInjector>(std::move(plan).value());
+  }
+  runtime::ScopedQueryContext sinks(
+      {.counters = &registry, .profile = profiled ? &profile : nullptr,
+       .meter = &meter, .faults = injector.get(), .lifecycle = &lifecycle});
+  Result<StrategyResult> result =
+      RunStrategy(q, ShuffleKind::kRegular, join, opts);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  if (!result.ok()) return {};
+
+  ExchangeRun run;
+  const QueryMetrics& m = result->metrics;
+  std::ostringstream text;
+  text.precision(17);
+  for (const StageMetrics& s : m.stages) {
+    text << "stage " << s.label << '|' << s.output_tuples << '|'
+         << s.retries << '|' << s.failed << '|' << s.degraded << '\n';
+  }
+  for (const ShuffleMetrics& s : m.shuffles) {
+    text << "shuffle " << s.label << '|' << s.tuples_sent << '|' << s.retries
+         << '|' << s.dups_deduped << '|' << s.bloom_tested << '|'
+         << s.bloom_filtered << '|' << s.bloom_bytes_saved << '|'
+         << s.producer_skew << '|' << s.consumer_skew << '\n';
+    run.retries += s.retries;
+    run.dups_deduped += s.dups_deduped;
+    const bool right_side =
+        s.label.find("(right, skew-aware)") != std::string::npos;
+    if (right_side && s.bloom_tested > 0 &&
+        s.tuples_sent > s.bloom_tested - s.bloom_filtered) {
+      ++run.replicating_right_sides;
+    }
+  }
+  for (const std::string& d : m.degradations) text << "degraded " << d << '\n';
+  text << "fail " << m.failed << '|' << static_cast<int>(m.fail_code) << '|'
+       << m.fail_reason << '\n';
+  for (const auto& [name, value] : registry.CounterSnapshot()) {
+    text << name << '=' << value << '\n';
+  }
+  text << "bytes " << m.peak_bytes << '|' << m.charged_bytes << '\n';
+  text << "polls " << lifecycle.stats().polls << '\n';
+  if (profiled) {
+    ProfileReportOptions report;
+    report.include_timings = false;
+    text << ProfileJsonString(profile, report) << '\n';
+  }
+  run.digest = DigestTextAndOutput(text.str(), result->output);
+  return run;
+}
+
+struct GoldenExchange {
+  int query;
+  const char* strategy;
+  uint64_t digest[kNumExchangeConfigs];
+};
+
+const GoldenExchange kGoldenExchanges[] = {
+    {1, "RS_HJ",
+     {0x3b396590304e80e2ULL, 0xa8b4ce286244ef7eULL,
+      0xbedb278c38c3f6c5ULL, 0x9713c52273d313efULL}},
+    {1, "RS_TJ",
+     {0x40a93f76d42786fdULL, 0xd69ad624040d1fc5ULL,
+      0x6ecd2fbd1421e867ULL, 0x7f14a0cf10535528ULL}},
+    {2, "RS_HJ",
+     {0x207f12c2bcc614f9ULL, 0x982c12a56c9447f8ULL,
+      0xf8cf64aa41d1b8a8ULL, 0x6760a8e4d4407f70ULL}},
+    {2, "RS_TJ",
+     {0x1a9f843328a8b81aULL, 0x7ed6d0e1d07d1d09ULL,
+      0x41398394c6b0a037ULL, 0x77683fcc1023f624ULL}},
+    {3, "RS_HJ",
+     {0x9896eb81057a7e6fULL, 0xaa8575c524c36ff2ULL,
+      0x8e37f3dff987b152ULL, 0xd7a83be3813c5d55ULL}},
+    {3, "RS_TJ",
+     {0x23ff5627737b54a2ULL, 0xeab3be6115ac80f2ULL,
+      0x5b473c2d063bf5f9ULL, 0x2f0c06ae75bda968ULL}},
+    {4, "RS_HJ",
+     {0x2c0d655c12a58106ULL, 0xd2aa4974f5c3a877ULL,
+      0x2b10c7c4d28b521ULL, 0x9074229f07982cbdULL}},
+    {4, "RS_TJ",
+     {0x6b0c992d1fc9079cULL, 0x48dae10a5cb4eb61ULL,
+      0xae3ae2e8067150f4ULL, 0xebf8551f8b2e4126ULL}},
+    {5, "RS_HJ",
+     {0x3c96e3c0b60250ebULL, 0x8b6bfdcc51699481ULL,
+      0xe4d1082558773727ULL, 0xd54e9e2a856b8f47ULL}},
+    {5, "RS_TJ",
+     {0x5868b31ab9e2e3d2ULL, 0x2b3506a750626d92ULL,
+      0xd6f06056cf5a78fbULL, 0x94f8eb5aa330bdbeULL}},
+    {6, "RS_HJ",
+     {0x74bc17861d99b630ULL, 0x3505eabfc0682a7bULL,
+      0xd6af24b9c386acd6ULL, 0xd603de3f69db9231ULL}},
+    {6, "RS_TJ",
+     {0x30819dab16aff4f4ULL, 0xd218f8aec0105a50ULL,
+      0x70360f5300b67400ULL, 0x5fe712a2a3ceda14ULL}},
+    {7, "RS_HJ",
+     {0xe8de10cf11d22527ULL, 0x26128ee662f93c31ULL,
+      0xb1f91e545eb2cbc1ULL, 0xf69a7a581a534a93ULL}},
+    {7, "RS_TJ",
+     {0x1d6f611c4fda3436ULL, 0xc473bb1f9fb8f82cULL,
+      0x5f0908a2c44517bULL, 0x7c73ff405a39d2daULL}},
+    {8, "RS_HJ",
+     {0x97fd16d6c79f1b16ULL, 0x1898e362a2a1eef1ULL,
+      0x2d2e442b339f9359ULL, 0x972e9348478b9a43ULL}},
+    {8, "RS_TJ",
+     {0x16b6211956cb7c6aULL, 0xf0d7df45f1182ec3ULL,
+      0x15244cf5559afde0ULL, 0xb3e2c3c42c02bc6eULL}},
+};
+
+TEST(ExchangeGolden, FilteredSkewAwareAndProfiledExchangesMatchGolden) {
+  WorkloadFactory factory(GoldenScale());
+  size_t checked = 0;
+  size_t queries_replicating = 0;
+  for (int qi = 1; qi <= 8; ++qi) {
+    auto wl = factory.Make(qi);
+    ASSERT_TRUE(wl.ok()) << wl.status().ToString();
+    for (JoinKind join : {JoinKind::kHashJoin, JoinKind::kTributary}) {
+      const std::string name = StrategyName(ShuffleKind::kRegular, join);
+      std::ostringstream row;
+      row << "{" << qi << ", \"" << name << "\", {" << std::hex;
+      uint64_t digest[kNumExchangeConfigs];
+      for (int c = 0; c < kNumExchangeConfigs; ++c) {
+        const ExchangeRun run = ExchangeGoldenRun(
+            wl->normalized, join, static_cast<ExchangeConfig>(c));
+        digest[c] = run.digest;
+        if (c == kBothProfiled && join == JoinKind::kHashJoin &&
+            run.replicating_right_sides > 0) {
+          ++queries_replicating;
+        }
+        if (c == kBothFaultedProfiled) {
+          // The schedule really hit: a lost channel was retried and a
+          // duplicate was discarded.
+          EXPECT_GT(run.retries, 0u) << "Q" << qi << " " << name;
+          EXPECT_GT(run.dups_deduped, 0u) << "Q" << qi << " " << name;
+        }
+        row << (c > 0 ? ", " : "") << "0x" << digest[c] << "ULL";
+      }
+      row << "}},";
+      const GoldenExchange* golden = nullptr;
+      for (const GoldenExchange& g : kGoldenExchanges) {
+        if (g.query == qi && name == g.strategy) golden = &g;
+      }
+      if (golden == nullptr) {
+        ADD_FAILURE() << "no golden row: " << row.str();
+        continue;
+      }
+      for (int c = 0; c < kNumExchangeConfigs; ++c) {
+        EXPECT_EQ(digest[c], golden->digest[c])
+            << "Q" << qi << " " << name << " config " << c << "\n"
+            << row.str();
+      }
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, std::size(kGoldenExchanges));
+  // Every query has heavy keys at kGoldenSkewThreshold, so every digest
+  // covers a right side that broadcasts replicas.
+  EXPECT_EQ(queries_replicating, 8u);
 }
 
 }  // namespace
