@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
                "in brackets)\n\n";
   TablePrinter table({"query", "#tables", "#join vars", "cyclic", "input",
                       "RS size", "HC size", "RS skew", "T(RS_HJ)/T(HC_TJ)",
-                      "best config"});
+                      "fastest (timed)"});
 
   for (int qn : WorkloadFactory::AllQueries()) {
     auto wl = factory.Make(qn);
@@ -73,7 +73,8 @@ int main(int argc, char** argv) {
       input += atom.relation.NumTuples();
     }
 
-    // Best completed configuration by wall clock.
+    // Fastest completed configuration by measured wall clock: one timed
+    // pick, so near-ties (Q3 RS_HJ/RS_TJ, Q7 HC_TJ/HC_HJ) flip between runs.
     const auto strategies = AllStrategies();
     int best = -1;
     for (size_t i = 0; i < results.size(); ++i) {
@@ -107,8 +108,9 @@ int main(int argc, char** argv) {
                    pr.best)});
   }
   table.Print();
-  std::cout << "\nNotes: at laptop scale the wall-clock winners can shift "
-               "for the small queries; the shuffle-size and skew columns are "
-               "the scale-independent signals.\n";
+  std::cout << "\nNotes: \"fastest (timed)\" is one wall-clock pick and "
+               "varies run to run where configurations are near-tied; the "
+               "shuffle-size and skew columns are deterministic and "
+               "scale-independent.\n";
   return 0;
 }

@@ -25,9 +25,11 @@ struct ShuffleMetrics {
   /// pushed into this exchange's producers): tuples tested against the
   /// build-side filter, tuples it proved unable to join and dropped before
   /// the channel buffers, and the payload bytes that never shipped. The
-  /// conservation invariant extends to
-  ///   input tuples == tuples_sent + bloom_filtered
-  /// per exchange (checked at the scatter whenever delivery runs checked).
+  /// conservation invariant is over rows before replication:
+  ///   input rows == rows routed + bloom_filtered
+  /// checked at the scatter whenever a filter is pushed. tuples_sent equals
+  /// the routed rows except where routing replicates: the skew-aware right
+  /// side's tuples_sent also counts its heavy-key broadcast replicas.
   size_t bloom_tested = 0;
   size_t bloom_filtered = 0;
   size_t bloom_bytes_saved = 0;
