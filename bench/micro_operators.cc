@@ -157,6 +157,22 @@ void BM_HashShuffle(benchmark::State& state) {
 }
 BENCHMARK(BM_HashShuffle)->Range(1 << 12, 1 << 17);
 
+// Skew-aware join shuffle of the graph with itself on a hub-heavy key: at
+// threshold 0.25 the power-law's hubs are heavy, so the left side
+// round-robins them and the right side replicates them to every worker.
+void BM_SkewAwareShuffle(benchmark::State& state) {
+  Relation g = MakeGraph(static_cast<size_t>(state.range(0)), 17);
+  DistributedRelation dist = PartitionRoundRobin(g, 64);
+  for (auto _ : state) {
+    SkewAwareShuffleResult r =
+        SkewAwareJoinShuffle(dist, {1}, dist, {0}, 64, 1, 0.25, "bench")
+            .value();
+    benchmark::DoNotOptimize(r.right_metrics.tuples_sent);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SkewAwareShuffle)->Range(1 << 12, 1 << 17);
+
 void BM_HypercubeShuffle(benchmark::State& state) {
   Relation g = MakeGraph(static_cast<size_t>(state.range(0)), 13);
   DistributedRelation dist = PartitionRoundRobin(g, 64);

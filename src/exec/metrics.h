@@ -24,7 +24,7 @@ struct ShuffleMetrics {
   /// Sideways-information-passing accounting (0/0 when no bloom filter was
   /// pushed into this exchange's producers): tuples tested against the
   /// build-side filter, tuples it proved unable to join and dropped before
-  /// the channel buffers, and the payload bytes that never shipped. The
+  /// any row was placed, and the payload bytes that never shipped. The
   /// conservation invariant is over rows before replication:
   ///   input rows == rows routed + bloom_filtered
   /// checked at the scatter whenever a filter is pushed. tuples_sent equals

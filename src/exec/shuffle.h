@@ -46,16 +46,20 @@ struct ShuffleAttempt {
 /// multiple columns) across `num_workers` workers. This is shuffle (1) of
 /// Sec. 3: it forces binary joins except when all joins share one key.
 ///
-/// All shuffles deliver per-(producer, consumer) channel buffers tagged
-/// with a (producer, epoch) sequence number; consumers deduplicate repeated
-/// tags, and a conservation invariant (tuples emitted == tuples delivered
-/// after dedup) returns Status::Internal on any lost channel — the detector
-/// the recovery loop retries on. The invariant is always checked in debug
-/// builds and whenever a fault injector is active.
+/// Every shuffle counts, then places: producers count their rows per
+/// destination, prefix sums give each producer a slice of each destination
+/// fragment (in producer order), and each row is copied once, straight into
+/// its slice. A (producer, consumer) channel is an (offset, length) view of
+/// the consumer's fragment, delivered with a (producer, epoch) sequence tag;
+/// consumers deduplicate repeated tags, and a conservation invariant (tuples
+/// emitted == tuples delivered after dedup, over the channel lengths)
+/// returns Status::Internal on any lost channel — the detector the recovery
+/// loop retries on. The invariant is checked on every exchange; a fault
+/// injector decides which channels are dropped or duplicated.
 ///
 /// When `bloom` is non-null (sideways information passing, docs/KERNELS.md),
 /// producers probe each tuple's combined key hash against the build-side
-/// filter and drop definite non-matches before the channel buffers fill —
+/// filter and drop definite non-matches while counting —
 /// filtered tuples are never copied, shipped, or delivered. The filter must
 /// have been built with the same `salt` over the matching join-key columns
 /// (BuildShuffleBloomFilter). Conservation becomes
@@ -70,7 +74,8 @@ Result<ShuffleResult> HashShuffle(const DistributedRelation& in,
                                   const BloomFilter* bloom = nullptr);
 
 /// Broadcast shuffle: every worker receives a full copy of `in` (shuffle (3)
-/// of Sec. 3 — used for all but the largest relation).
+/// of Sec. 3 — used for all but the largest relation). Each fragment is
+/// copied once into each of the `num_workers` destinations.
 Result<ShuffleResult> BroadcastShuffle(const DistributedRelation& in,
                                        int num_workers, std::string label,
                                        ShuffleAttempt attempt = {});

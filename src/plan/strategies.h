@@ -74,7 +74,7 @@ struct StrategyOptions {
   /// probe side (relation k+1) of each binary join is shuffled, build a
   /// split-block bloom filter over the accumulated side's join keys
   /// (exec/bloom.h) and drop probe tuples the filter proves unable to join
-  /// at the producer, before they are copied into channel buffers. Pure
+  /// at the producer, before they are copied anywhere. Pure
   /// network/CPU optimization — outputs are bit-identical on/off (the
   /// filter has no false negatives, and false positives merely ship and
   /// get dropped by the join as before).

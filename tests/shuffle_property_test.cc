@@ -1,16 +1,22 @@
 // Property tests for the shuffle layer: content preservation,
-// co-partitioning, determinism, the HyperCube meeting guarantee, and the
-// bloom-filtered exchanges' virtual arrival map, across randomized inputs
-// and cluster sizes.
+// co-partitioning, determinism, the HyperCube meeting guarantee, the
+// bloom-filtered exchanges' virtual arrival map, and count-then-place
+// against a naive sequential scatter (fragments, channel matrix, channel
+// faults, allocations), across randomized inputs and cluster sizes.
 
+#include <functional>
 #include <map>
+#include <memory>
 #include <set>
 
+#include "alloc_counter.h"
 #include "common/hash.h"
 #include "exec/bloom.h"
 #include "exec/local_ops.h"
 #include "exec/shuffle.h"
+#include "fault/fault.h"
 #include "gtest/gtest.h"
+#include "obs/profile.h"
 #include "obs/resource.h"
 #include "runtime/parallel.h"
 #include "test_util.h"
@@ -397,6 +403,328 @@ TEST_P(ArrivalMapSweep, FilteredSkewAwareRightSideCountsReplicaSlots) {
 INSTANTIATE_TEST_SUITE_P(SeedsWorkers, ArrivalMapSweep,
                          ::testing::Combine(::testing::Range(0, 3),
                                             ::testing::Values(2, 4, 7)));
+
+// ---------------------------------------------------------------------------
+// Count, then place: every exchange's fragments against an independent
+// oracle — a naive sequential scatter that appends each row to its
+// destinations in (producer, row) order — and its delivery bookkeeping
+// under channel faults.
+// ---------------------------------------------------------------------------
+
+// The oracle's result: per-worker fragment bytes and per-producer copies.
+struct OracleScatter {
+  std::vector<std::vector<Value>> frags;
+  std::vector<uint64_t> produced;
+};
+
+// `dests(t)` returns row t's destination workers (none when dropped); it is
+// called once per row in (producer, row) order.
+OracleScatter NaiveScatter(
+    const DistributedRelation& in, int workers,
+    const std::function<std::vector<size_t>(const Value*)>& dests) {
+  OracleScatter out;
+  out.frags.resize(static_cast<size_t>(workers));
+  for (const Relation& frag : in) {
+    uint64_t produced = 0;
+    for (size_t r = 0; r < frag.NumTuples(); ++r) {
+      const Value* t = frag.Row(r);
+      for (size_t w : dests(t)) {
+        out.frags[w].insert(out.frags[w].end(), t, t + frag.arity());
+        ++produced;
+      }
+    }
+    out.produced.push_back(produced);
+  }
+  return out;
+}
+
+uint64_t OracleKeyHash(const Value* t, const std::vector<int>& cols,
+                       uint64_t salt) {
+  uint64_t h = 0;
+  for (int col : cols) h = HashCombine(h, HashWithSalt(t[col], salt));
+  return h;
+}
+
+enum class Exchange { kHash, kHypercube, kBroadcast, kSkewLeft, kSkewRight };
+
+const char* ExchangeName(Exchange e) {
+  switch (e) {
+    case Exchange::kHash:
+      return "hash";
+    case Exchange::kHypercube:
+      return "hypercube";
+    case Exchange::kBroadcast:
+      return "broadcast";
+    case Exchange::kSkewLeft:
+      return "skew-aware left";
+    case Exchange::kSkewRight:
+      return "skew-aware right";
+  }
+  return "?";
+}
+
+// One exchange's placed fragments and metrics, from the engine.
+struct Placed {
+  DistributedRelation data;
+  ShuffleMetrics metrics;
+};
+
+class PlacementOracleSweep
+    : public ::testing::TestWithParam<std::tuple<int, bool>> {
+ protected:
+  void SetUp() override {
+    workers_ = std::get<0>(GetParam());
+    Rng rng(31 + static_cast<uint64_t>(workers_));
+    // Left: a hub key y=0, heavy at every worker count here, plus light
+    // keys. Right: the hub, the light keys and right-only keys.
+    Relation left("L", Schema{"x", "y"});
+    for (Value i = 0; i < 500; ++i) left.AddTuple({i, 0});
+    for (Value i = 0; i < 300; ++i) {
+      left.AddTuple({i, 1 + static_cast<Value>(rng.Uniform(40))});
+    }
+    Relation right("R", Schema{"y", "z"});
+    for (Value i = 0; i < 25; ++i) right.AddTuple({0, i});
+    for (Value i = 0; i < 400; ++i) {
+      right.AddTuple({static_cast<Value>(rng.Uniform(160)), i});
+    }
+    left_ = PartitionRoundRobin(left, workers_);
+    right_ = PartitionRoundRobin(right, workers_);
+    if (std::get<1>(GetParam())) {
+      bloom_ = std::make_unique<BloomFilter>(
+          BuildShuffleBloomFilter(left_, {1}, kSalt));
+    }
+    hc_config_.join_vars = {"x", "y", "z"};
+    hc_config_.dims = {2, 3, 2};
+    hc_config_.salt = kSalt;
+    // More cells than workers at W 2 and 4: co-located cells must yield
+    // one copy.
+    for (int c = 0; c < hc_config_.NumCells(); ++c) {
+      cell_map_.push_back(c % workers_);
+    }
+  }
+  void TearDown() override { runtime::SetThreads(0); }
+
+  Result<Placed> Run(Exchange e, ShuffleAttempt attempt = {}) const {
+    const BloomFilter* bloom = bloom_.get();
+    switch (e) {
+      case Exchange::kHash: {
+        PTP_ASSIGN_OR_RETURN(ShuffleResult r,
+                             HashShuffle(right_, {0}, workers_, kSalt, "hash",
+                                         attempt, bloom));
+        return Placed{std::move(r.data), std::move(r.metrics)};
+      }
+      case Exchange::kHypercube: {
+        PTP_ASSIGN_OR_RETURN(
+            ShuffleResult r,
+            HypercubeShuffle(left_, {"x", "y"}, hc_config_, cell_map_,
+                             workers_, "hc", attempt));
+        return Placed{std::move(r.data), std::move(r.metrics)};
+      }
+      case Exchange::kBroadcast: {
+        PTP_ASSIGN_OR_RETURN(ShuffleResult r,
+                             BroadcastShuffle(right_, workers_, "br", attempt));
+        return Placed{std::move(r.data), std::move(r.metrics)};
+      }
+      case Exchange::kSkewLeft:
+      case Exchange::kSkewRight: {
+        PTP_ASSIGN_OR_RETURN(
+            SkewAwareShuffleResult r,
+            SkewAwareJoinShuffle(left_, {1}, right_, {0}, workers_, kSalt,
+                                 kThreshold, "skew", attempt, attempt, bloom));
+        if (e == Exchange::kSkewLeft) {
+          return Placed{std::move(r.left), std::move(r.left_metrics)};
+        }
+        return Placed{std::move(r.right), std::move(r.right_metrics)};
+      }
+    }
+    return Status::Internal("unknown exchange");
+  }
+
+  // The naive sequential scatter of exchange `e`, computed from scratch.
+  OracleScatter Oracle(Exchange e) const {
+    const size_t W = static_cast<size_t>(workers_);
+    const BloomFilter* bloom = bloom_.get();
+    // The skew-aware exchanges' heavy keys: exact left-side frequencies of
+    // the combined key hash above threshold x the average worker load.
+    std::map<uint64_t, size_t> freq;
+    for (const Relation& frag : left_) {
+      for (size_t r = 0; r < frag.NumTuples(); ++r) {
+        ++freq[OracleKeyHash(frag.Row(r), {1}, kSalt)];
+      }
+    }
+    const double cutoff =
+        kThreshold * std::max(1.0, static_cast<double>(TotalTuples(left_)) /
+                                       static_cast<double>(workers_));
+    auto heavy = [&](uint64_t h) {
+      auto it = freq.find(h);
+      return it != freq.end() && static_cast<double>(it->second) > cutoff;
+    };
+    switch (e) {
+      case Exchange::kHash:
+        return NaiveScatter(right_, workers_, [&](const Value* t) {
+          const uint64_t h = OracleKeyHash(t, {0}, kSalt);
+          if (bloom != nullptr && !bloom->MayContain(h)) {
+            return std::vector<size_t>{};
+          }
+          return std::vector<size_t>{h % W};
+        });
+      case Exchange::kHypercube: {
+        const HypercubeRouter router(hc_config_, {"x", "y"});
+        return NaiveScatter(left_, workers_, [&](const Value* t) {
+          std::vector<int> cells;
+          router.Route(t, &cells);
+          std::set<size_t> dests;
+          for (int c : cells) {
+            dests.insert(static_cast<size_t>(cell_map_[static_cast<size_t>(c)]));
+          }
+          return std::vector<size_t>(dests.begin(), dests.end());
+        });
+      }
+      case Exchange::kBroadcast:
+        return NaiveScatter(right_, workers_, [&](const Value*) {
+          std::vector<size_t> all(W);
+          for (size_t w = 0; w < W; ++w) all[w] = w;
+          return all;
+        });
+      case Exchange::kSkewLeft: {
+        size_t round_robin = 0;
+        return NaiveScatter(left_, workers_, [&](const Value* t) {
+          const uint64_t h = OracleKeyHash(t, {1}, kSalt);
+          return std::vector<size_t>{heavy(h) ? round_robin++ % W : h % W};
+        });
+      }
+      case Exchange::kSkewRight:
+        return NaiveScatter(right_, workers_, [&](const Value* t) {
+          const uint64_t h = OracleKeyHash(t, {0}, kSalt);
+          if (bloom != nullptr && !bloom->MayContain(h)) {
+            return std::vector<size_t>{};
+          }
+          if (!heavy(h)) return std::vector<size_t>{h % W};
+          std::vector<size_t> all(W);
+          for (size_t w = 0; w < W; ++w) all[w] = w;
+          return all;
+        });
+    }
+    return {};
+  }
+
+  static void ExpectFragments(const Placed& got, const OracleScatter& want) {
+    ASSERT_EQ(got.data.size(), want.frags.size());
+    for (size_t w = 0; w < got.data.size(); ++w) {
+      EXPECT_EQ(got.data[w].data(), want.frags[w]) << "worker " << w;
+    }
+  }
+
+  static constexpr uint64_t kSalt = 404;
+  static constexpr double kThreshold = 1.2;
+  static constexpr Exchange kAll[] = {Exchange::kHash, Exchange::kHypercube,
+                                      Exchange::kBroadcast,
+                                      Exchange::kSkewLeft,
+                                      Exchange::kSkewRight};
+  int workers_ = 0;
+  DistributedRelation left_;
+  DistributedRelation right_;
+  std::unique_ptr<BloomFilter> bloom_;
+  HypercubeConfig hc_config_;
+  std::vector<int> cell_map_;
+};
+
+TEST_P(PlacementOracleSweep, FragmentsAndChannelMatrixMatchNaiveScatter) {
+  // The hub key is heavy, so the skew-aware sides round-robin and
+  // replicate it.
+  ASSERT_GE(SkewAwareJoinShuffle(left_, {1}, right_, {0}, workers_, kSalt,
+                                 kThreshold, "skew")
+                .value()
+                .heavy_keys,
+            1u);
+  for (Exchange e : kAll) {
+    SCOPED_TRACE(ExchangeName(e));
+    const OracleScatter want = Oracle(e);
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(threads);
+      runtime::SetThreads(threads);
+      QueryProfile profile;
+      runtime::ScopedQueryContext sinks({.profile = &profile});
+      const Placed got = Run(e).value();
+      ExpectFragments(got, want);
+      // The profile's channel matrix: producer p's row sum is the rows it
+      // sent. The skew-aware call records its left side first.
+      const auto sections = profile.Snapshot();
+      ASSERT_EQ(sections.size(), 1u);
+      const size_t entry = e == Exchange::kSkewRight ? 1 : 0;
+      ASSERT_GT(sections[0].shuffles.size(), entry);
+      const ChannelMatrix& m = sections[0].shuffles[entry].matrix;
+      EXPECT_EQ(m.RowTotals(), want.produced);
+      EXPECT_EQ(m.Total(), got.metrics.tuples_sent);
+    }
+  }
+}
+
+TEST_P(PlacementOracleSweep, DuplicatedChannelsAreDedupedWithoutChange) {
+  for (Exchange e : kAll) {
+    SCOPED_TRACE(ExchangeName(e));
+    const OracleScatter want = Oracle(e);
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(threads);
+      runtime::SetThreads(threads);
+      FaultInjector injector(FaultPlan::Parse("dup@p=1").value());
+      runtime::ScopedQueryContext sinks({.faults = &injector});
+      const Placed got = Run(e).value();
+      ExpectFragments(got, want);
+      // Producer 1's channel to every worker arrived twice.
+      EXPECT_EQ(got.metrics.dups_deduped, static_cast<size_t>(workers_));
+    }
+  }
+}
+
+TEST_P(PlacementOracleSweep, DroppedChannelFailsConservationThenReplays) {
+  for (Exchange e : kAll) {
+    SCOPED_TRACE(ExchangeName(e));
+    const OracleScatter want = Oracle(e);
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(threads);
+      runtime::SetThreads(threads);
+      FaultInjector injector(FaultPlan::Parse("drop@p=0,c=1").value());
+      runtime::ScopedQueryContext sinks({.faults = &injector});
+      // Producer 0's channel to worker 1 is non-empty in every exchange
+      // here, so losing it breaks conservation.
+      const Result<Placed> lost = Run(e);
+      ASSERT_FALSE(lost.ok());
+      EXPECT_EQ(lost.status().code(), StatusCode::kInternal);
+      EXPECT_NE(lost.status().message().find("conservation"),
+                std::string::npos)
+          << lost.status().ToString();
+      // The replay (the drop fires on attempt 0 only) delivers everything.
+      const Placed replay = Run(e, {.attempt = 1}).value();
+      ExpectFragments(replay, want);
+      EXPECT_EQ(replay.metrics.dups_deduped, 0u);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(WorkersBloom, PlacementOracleSweep,
+                         ::testing::Combine(::testing::Values(2, 4, 7),
+                                            ::testing::Bool()));
+
+// Count-then-place allocates per producer and per destination, never one
+// growing buffer per (producer, destination) channel: 64 x 16 channels here.
+TEST(ScatterAllocationTest, HashShuffleAllocatesPerProducerNotPerChannel) {
+  constexpr int kProducers = 64;
+  constexpr int kWorkers = 16;
+  Relation rel("R", Schema{"x", "y"});
+  for (Value i = 0; i < 100000; ++i) rel.AddTuple({i * 7919 % 100003, i});
+  const DistributedRelation dist = PartitionRoundRobin(rel, kProducers);
+  // Warm-up: the pool's threads and batch state are allocated once.
+  HashShuffle(dist, {0}, kWorkers, 5, "warm").value();
+
+  const size_t before = g_alloc_count.load();
+  const ShuffleResult r = HashShuffle(dist, {0}, kWorkers, 5, "t").value();
+  const size_t allocations = g_alloc_count.load() - before;
+  EXPECT_EQ(r.metrics.tuples_sent, rel.NumTuples());
+  EXPECT_LE(allocations, 8u * (kProducers + kWorkers))
+      << "an exchange should allocate O(P + W) blocks, not one growing "
+         "buffer per channel";
+}
 
 }  // namespace
 }  // namespace ptp
