@@ -6,9 +6,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -344,6 +342,13 @@ struct BenchConfig {
     return FromArgs(argc, argv, BenchConfig());
   }
 
+  /// FromArgs over a flag list that holds no program name.
+  static BenchConfig FromFlags(std::vector<std::string> flags) {
+    std::vector<char*> argv = {nullptr};
+    for (std::string& flag : flags) argv.push_back(flag.data());
+    return FromArgs(static_cast<int>(argv.size()), argv.data());
+  }
+
   StrategyOptions ToOptions() const {
     StrategyOptions o;
     o.num_workers = workers;
@@ -353,203 +358,6 @@ struct BenchConfig {
     return o;
   }
 };
-
-/// Loads workload `q`, runs all six configurations, prints the figure.
-/// `patch_options` lets a bench pin plan details (e.g. the paper's explicit
-/// Figure-7 join order for Q4).
-inline std::vector<StrategyResult> RunSixConfigs(
-    const BenchConfig& config, int q, const std::string& title,
-    const PaperFigure& paper,
-    const std::function<void(StrategyOptions*)>& patch_options = nullptr) {
-  WorkloadFactory factory(config.ToScale());
-  auto wl = factory.Make(q);
-  PTP_CHECK(wl.ok()) << wl.status().ToString();
-  std::cout << wl->description << "\n"
-            << "query: " << wl->query.ToString() << "\n"
-            << "workers: " << config.workers << ", dataset: ";
-  size_t input = 0;
-  for (const auto& atom : wl->normalized.atoms) {
-    input += atom.relation.NumTuples();
-  }
-  std::cout << input << " input tuples across " << wl->normalized.atoms.size()
-            << " atoms\n\n";
-  // Observability: --trace= records a Chrome trace of the whole run;
-  // --json= exports per-strategy EXPLAIN ANALYZE (with the counter registry
-  // embedded). Both are off by default, leaving the hot paths on their
-  // single-branch disabled fast path. Every sink a flag arms goes into one
-  // context, installed for the strategy runs only.
-  runtime::QueryContext sinks;
-  std::unique_ptr<TraceSession> trace;
-  std::unique_ptr<CounterRegistry> counters;
-  if (!config.trace_path.empty()) {
-    trace = std::make_unique<TraceSession>();
-    trace->NameTrack(kCoordinatorTrack, "coordinator");
-    for (int w = 0; w < config.workers; ++w) {
-      trace->NameTrack(WorkerTrack(w), StrFormat("worker %d", w));
-    }
-    sinks.trace = trace.get();
-  }
-  if (!config.trace_path.empty() || !config.json_path.empty()) {
-    counters = std::make_unique<CounterRegistry>();
-    sinks.counters = counters.get();
-  }
-  // --profile= turns on the query profiler (channel matrices, hot-key
-  // sketches, per-worker timelines); when a trace is also active the
-  // profiler additionally exports Perfetto counter tracks into it.
-  std::unique_ptr<QueryProfile> profile;
-  if (!config.profile_path.empty()) {
-    profile = std::make_unique<QueryProfile>();
-    sinks.profile = profile.get();
-  }
-  // --mem-budget= (>= 0) or --feedback-out= arms the byte-accounting meter
-  // (docs/OBSERVABILITY.md): deterministic peak/live bytes per strategy,
-  // mem.* counters, and — with a positive budget — soft overrun warnings.
-  std::unique_ptr<ResourceMeter> meter;
-  if (config.mem_budget >= 0 || !config.feedback_out.empty()) {
-    meter = std::make_unique<ResourceMeter>(
-        config.mem_budget > 0 ? static_cast<uint64_t>(config.mem_budget) : 0);
-    sinks.meter = meter.get();
-  }
-  // --feedback-in= replays a recorded feedback store through the advisor:
-  // measured cardinalities and skew replace its estimates before it
-  // re-picks a strategy.
-  FeedbackStore feedback_store;
-  const QueryFeedback* feedback = nullptr;
-  if (!config.feedback_in.empty()) {
-    Result<FeedbackStore> loaded = FeedbackStore::LoadFile(config.feedback_in);
-    PTP_CHECK(loaded.ok()) << loaded.status().ToString();
-    feedback_store = std::move(loaded).value();
-    feedback = feedback_store.Find(wl->query.ToString(), config.workers);
-    if (feedback == nullptr) {
-      std::cout << "feedback: no entry for this query at W=" << config.workers
-                << " in " << config.feedback_in << "\n\n";
-    }
-  }
-  if (!config.feedback_in.empty()) {
-    StrategyAdvice advice =
-        AdviseStrategy(wl->normalized, config.workers, feedback);
-    std::cout << "advisor" << (advice.used_feedback ? " (measured)" : "")
-              << ": " << StrategyName(advice.shuffle, advice.join) << " — "
-              << advice.rationale << "\n";
-    if (feedback != nullptr) std::cout << "\n" << QErrorAuditText(*feedback);
-    std::cout << "\n";
-  }
-  // --faults= / PTP_FAULTS turns on deterministic fault injection for the
-  // whole run (see docs/ROBUSTNESS.md). Recovery markers show up in the
-  // figure output and in the --json= EXPLAIN ANALYZE export.
-  std::unique_ptr<FaultInjector> injector;
-  if (!config.faults.empty()) {
-    auto plan = FaultPlan::Parse(config.faults);
-    PTP_CHECK(plan.ok()) << plan.status().ToString();
-    injector = std::make_unique<FaultInjector>(std::move(plan).value());
-    sinks.faults = injector.get();
-    std::cout << "fault schedule: " << injector->plan().ToString() << "\n\n";
-  }
-
-  // --deadline-ms= arms the cooperative-cancellation machinery for the
-  // whole run: an elapsed deadline makes strategies FAIL gracefully with
-  // kDeadlineExceeded at their next coordinator poll point.
-  std::unique_ptr<QueryLifecycle> lifecycle;
-  if (config.deadline_ms > 0) {
-    lifecycle = std::make_unique<QueryLifecycle>();
-    lifecycle->SetDeadline(config.deadline_ms / 1000.0);
-    sinks.lifecycle = lifecycle.get();
-    std::cout << "deadline: " << config.deadline_ms << " ms\n\n";
-  }
-
-  StrategyOptions options = config.ToOptions();
-  if (patch_options) patch_options(&options);
-  if (config.bloom == "auto") {
-    // The advisor decides (estimated probe-side reduction vs threshold,
-    // replaced by measured selectivity when feedback has a bloom-enabled
-    // run of this query).
-    const StrategyAdvice bloom_advice =
-        AdviseStrategy(wl->normalized, config.workers, feedback);
-    options.bloom = bloom_advice.use_bloom;
-    std::cout << "bloom=auto: advisor estimates "
-              << StrFormat("%.0f%%", bloom_advice.est_bloom_reduction * 100.0)
-              << " probe-side reduction -> "
-              << (options.bloom ? "on" : "off") << "\n\n";
-  }
-  std::vector<StrategyResult> results;
-  {
-    runtime::ScopedQueryContext installed(sinks);
-    Result<std::vector<StrategyResult>> run =
-        RunAllStrategies(wl->normalized, options);
-    PTP_CHECK(run.ok()) << run.status().ToString();
-    results = std::move(run).value();
-  }
-
-  if (lifecycle != nullptr && lifecycle->stats().deadline_exceeded) {
-    std::cout << "deadline exceeded after " << lifecycle->stats().polls
-              << " lifecycle polls\n";
-  }
-  if (injector != nullptr) {
-    std::cout << "faults injected: " << injector->injected() << "\n";
-  }
-  if (!config.feedback_out.empty()) {
-    // Merge into an existing store when the file already holds one, so a
-    // suite of benches can share a single feedback file.
-    FeedbackStore out_store;
-    if (Result<FeedbackStore> existing =
-            FeedbackStore::LoadFile(config.feedback_out);
-        existing.ok()) {
-      out_store = std::move(existing).value();
-    }
-    QueryFeedback* entry =
-        out_store.FindOrAdd(wl->query.ToString(), config.workers);
-    entry->strategies.clear();
-    size_t idx = 0;
-    for (const auto& [shuffle, join] : AllStrategies()) {
-      if (idx >= results.size()) break;
-      entry->strategies.push_back(CollectStrategyFeedback(
-          wl->normalized, StrategyName(shuffle, join), results[idx]));
-      ++idx;
-    }
-    Status s = out_store.WriteFile(config.feedback_out);
-    PTP_CHECK(s.ok()) << s.ToString();
-    std::cout << "feedback JSON written to " << config.feedback_out << "\n";
-  }
-  if (profile != nullptr) {
-    Status s = WriteProfileJsonFile(config.profile_path, *profile);
-    PTP_CHECK(s.ok()) << s.ToString();
-    std::cout << "profile JSON written to " << config.profile_path << "\n";
-  }
-  if (trace != nullptr) {
-    Status s = trace->WriteJsonFile(config.trace_path);
-    PTP_CHECK(s.ok()) << s.ToString();
-  }
-
-  PrintSixConfigFigure(title, results, paper);
-  if (trace != nullptr) {
-    std::cout << "trace written to " << config.trace_path << " ("
-              << trace->events().size() << " events)\n";
-  }
-  if (!config.json_path.empty()) {
-    std::ofstream out(config.json_path);
-    PTP_CHECK(out.good()) << "cannot open " << config.json_path;
-    ExplainOptions eo;
-    eo.counters = counters.get();
-    WriteStrategiesJson(out, results, eo);
-    std::cout << "EXPLAIN ANALYZE JSON written to " << config.json_path
-              << "\n";
-  }
-
-  // Consistency check across the non-failed runs.
-  const Relation* reference = nullptr;
-  for (const StrategyResult& r : results) {
-    if (r.metrics.failed) continue;
-    if (reference == nullptr) {
-      reference = &r.output;
-    } else {
-      PTP_CHECK(r.output.EqualsUnordered(*reference))
-          << "strategy results disagree!";
-    }
-  }
-  std::cout << "\nall completed strategies returned identical results ("
-            << (reference ? reference->NumTuples() : 0) << " tuples)\n";
-  return results;
-}
 
 }  // namespace bench
 }  // namespace ptp

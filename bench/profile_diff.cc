@@ -3,7 +3,7 @@
 // plus a detailed comparison of one strategy from each file — e.g. HyperCube
 // vs. hash shuffle on Q4:
 //
-//   ./build/bench/fig09_q4_hypercube --profile=q4.profile.json
+//   ./build/bench/paper_figures --figure=9 --profile=q4.profile.json
 //   ./build/bench/profile_diff q4.profile.json q4.profile.json \
 //       --a=HC_TJ --b=RS_HJ
 //
