@@ -2,6 +2,8 @@
 //  * Sec. 2.2: TJ's seek is a binary search (O(log n)) on sorted arrays —
 //    measure seek cost, and sort-on-the-fly vs. the join itself.
 //  * Sec. 3.1: Tributary join vs. a pipeline of hash joins on triangles.
+//  * Sec. 3: the symmetric hash join's emission at high fan-out, with and
+//    without a predicate applied at emit.
 //  * DESIGN.md ablation: binary-search seek vs. a full level scan.
 
 #include <benchmark/benchmark.h>
@@ -94,6 +96,44 @@ void BM_TriangleHashJoinPipeline(benchmark::State& state) {
 }
 BENCHMARK(BM_TriangleHashJoinPipeline)
     ->Range(1 << 12, 1 << 16)
+    ->Unit(benchmark::kMillisecond);
+
+// One symmetric hash join with high fan-out: 100 rows per key on each side,
+// so the output is 100x the input and emission dominates. The second
+// argument adds one predicate, decidable on the joined schema and true for
+// about half the pairs, which the join evaluates at emit.
+void BM_SymmetricHashJoin(benchmark::State& state) {
+  const Value rows = state.range(0);
+  Relation left("L", Schema{"k", "a"});
+  Relation right("R", Schema{"k", "b"});
+  for (Value i = 0; i < rows; ++i) {
+    left.AddTuple({i % (rows / 100), i});
+    right.AddTuple({i % (rows / 100), rows - i});
+  }
+  std::vector<Predicate> preds;
+  if (state.range(1) != 0) {
+    Predicate p;
+    p.lhs = Term::Var("a");
+    p.op = CmpOp::kLt;
+    p.rhs = Term::Var("b");
+    preds.push_back(p);
+  }
+  size_t out_rows = 0;
+  for (auto _ : state) {
+    Relation out =
+        SymmetricHashJoinLocal(left, right, "join", nullptr, 0, preds);
+    out_rows = out.NumTuples();
+    benchmark::DoNotOptimize(out.data().data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["out_rows"] = static_cast<double>(out_rows);
+  state.SetItemsProcessed(state.iterations() * rows * 100);
+}
+BENCHMARK(BM_SymmetricHashJoin)
+    ->Args({1 << 12, 0})
+    ->Args({1 << 12, 1})
+    ->Args({1 << 14, 0})
+    ->Args({1 << 14, 1})
     ->Unit(benchmark::kMillisecond);
 
 // Sec. 2.2 design argument: "sorting on the fly is cheaper than computing a

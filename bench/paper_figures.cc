@@ -181,15 +181,17 @@ std::vector<StrategyResult> RunSixConfigs(const BenchConfig& config,
               << "\n";
   }
 
-  // Consistency check across the non-failed runs.
-  const Relation* reference = nullptr;
+  // Consistency check across the non-failed runs, against the first one
+  // sorted once.
+  std::optional<Relation> reference;
   for (const StrategyResult& r : results) {
     if (r.metrics.failed) continue;
-    if (reference == nullptr) {
-      reference = &r.output;
-    } else {
-      PTP_CHECK(r.output.EqualsUnordered(*reference))
+    if (reference) {
+      PTP_CHECK(r.output.EqualsUnorderedSorted(*reference))
           << "strategy results disagree!";
+    } else {
+      reference = r.output;
+      reference->SortLex();
     }
   }
   std::cout << "\nall completed strategies returned identical results ("

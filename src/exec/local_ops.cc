@@ -50,36 +50,122 @@ void PublishTableStats(const JoinHashTable& table) {
   }
 }
 
-}  // namespace
+// True when every variable of `pred` is a column of `schema`. Reads the
+// terms in place: FilterByPredicates with nothing decidable must not
+// allocate.
+bool Decidable(const Predicate& pred, const Schema& schema) {
+  for (const Term* t : {&pred.lhs, &pred.rhs}) {
+    if (t->is_variable() && schema.IndexOf(t->var) < 0) return false;
+  }
+  return true;
+}
 
-Relation HashJoinLocal(const Relation& left, const Relation& right,
-                       std::string out_name) {
-  std::vector<int> left_key, right_key;
-  SharedColumns(left.schema(), right.schema(), &left_key, &right_key);
+// What a natural join of two relations joins on and emits.
+struct JoinShape {
+  std::vector<int> left_key, right_key;  // shared columns, paired
+  std::vector<int> right_extra;          // right-only columns, in order
+  Schema out;  // the left columns, then the right-only columns
+};
 
-  // Output schema: left columns then right-only columns.
+JoinShape ShapeOf(const Relation& left, const Relation& right) {
+  JoinShape shape;
+  SharedColumns(left.schema(), right.schema(), &shape.left_key,
+                &shape.right_key);
   std::vector<std::string> out_names = left.schema().names();
-  std::vector<int> right_extra;
   for (size_t j = 0; j < right.arity(); ++j) {
     if (left.schema().IndexOf(right.schema().name(j)) < 0) {
-      right_extra.push_back(static_cast<int>(j));
+      shape.right_extra.push_back(static_cast<int>(j));
       out_names.push_back(right.schema().name(j));
     }
   }
-  Relation out(std::move(out_name), Schema(std::move(out_names)));
+  shape.out = Schema(std::move(out_names));
+  return shape;
+}
+
+// Writes a join's output rows. Each joined row is the left row followed by
+// the right row's right-only columns; the predicates decidable on the
+// output schema are resolved to those two rows once, and a row that fails
+// one is never appended. With no decidable predicate every row passes: the
+// unfiltered join is the same loop. FilterByPredicates uses it with no
+// right side.
+class RowEmitter {
+ public:
+  RowEmitter(Relation* out, size_t left_arity, std::vector<int> right_extra,
+             const std::vector<Predicate>& preds)
+      : data_(&out->mutable_data()),
+        left_arity_(left_arity),
+        right_extra_(std::move(right_extra)) {
+    for (const Predicate& p : preds) {
+      if (!Decidable(p, out->schema())) continue;
+      checks_.push_back({Resolve(p.lhs, out->schema()), p.op,
+                         Resolve(p.rhs, out->schema())});
+    }
+  }
+
+  bool filters() const { return !checks_.empty(); }
+
+  bool Pass(const Value* l, const Value* r) const {
+    for (const Check& c : checks_) {
+      if (!Predicate::Eval(c.lhs.Get(l, r), c.op, c.rhs.Get(l, r))) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  void Emit(const Value* l, const Value* r) {
+    if (!Pass(l, r)) return;
+    data_->insert(data_->end(), l, l + left_arity_);
+    for (int c : right_extra_) data_->push_back(r[c]);
+  }
+
+ private:
+  struct Operand {
+    enum Side : uint8_t { kLeft, kRight, kConstant };
+    Side side = kConstant;
+    int col = -1;
+    Value constant = 0;
+    Value Get(const Value* l, const Value* r) const {
+      return side == kLeft ? l[col] : side == kRight ? r[col] : constant;
+    }
+  };
+  struct Check {
+    Operand lhs;
+    CmpOp op = CmpOp::kEq;
+    Operand rhs;
+  };
+
+  Operand Resolve(const Term& t, const Schema& out) const {
+    if (!t.is_variable()) return {Operand::kConstant, -1, t.constant};
+    const size_t i = static_cast<size_t>(out.IndexOf(t.var));
+    if (i < left_arity_) return {Operand::kLeft, static_cast<int>(i), 0};
+    return {Operand::kRight, right_extra_[i - left_arity_], 0};
+  }
+
+  std::vector<Value>* data_;
+  size_t left_arity_;
+  std::vector<int> right_extra_;
+  std::vector<Check> checks_;
+};
+
+}  // namespace
+
+Relation HashJoinLocal(const Relation& left, const Relation& right,
+                       std::string out_name,
+                       const std::vector<Predicate>& preds) {
+  JoinShape shape = ShapeOf(left, right);
+  const std::vector<int>& left_key = shape.left_key;
+  const std::vector<int>& right_key = shape.right_key;
+  Relation out(std::move(out_name), std::move(shape.out));
+  RowEmitter emitter(&out, left.arity(), std::move(shape.right_extra), preds);
 
   if (left.NumTuples() == 0 || right.NumTuples() == 0) return out;
 
-  // Cross product when no shared columns. One reused row buffer; only its
-  // right-only suffix changes across the inner loop.
+  // Cross product when no shared columns.
   if (left_key.empty()) {
-    Tuple t(out.arity());
     for (size_t i = 0; i < left.NumTuples(); ++i) {
-      std::copy(left.Row(i), left.Row(i) + left.arity(), t.begin());
       for (size_t j = 0; j < right.NumTuples(); ++j) {
-        size_t k = left.arity();
-        for (int c : right_extra) t[k++] = right.At(j, c);
-        out.AddTuple(t);
+        emitter.Emit(left.Row(i), right.Row(j));
       }
     }
     return out;
@@ -116,7 +202,6 @@ Relation HashJoinLocal(const Relation& left, const Relation& right,
     std::copy(src, src + build_arity, arena.begin() + e * build_arity);
   }
 
-  Tuple t;
   for (size_t prow = 0; prow < probe.NumTuples(); ++prow) {
     const Value* p = probe.Row(prow);
     const uint64_t h = HashKey(p, probe_key);
@@ -124,11 +209,7 @@ Relation HashJoinLocal(const Relation& left, const Relation& right,
          e = table.Next(e, h)) {
       const Value* b = arena.data() + e * build_arity;
       if (!KeysEqual(p, probe_key, b, build_key)) continue;
-      const Value* l = build_right ? p : b;
-      const Value* r = build_right ? b : p;
-      t.assign(l, l + left.arity());
-      for (int c : right_extra) t.push_back(r[c]);
-      out.AddTuple(t);
+      emitter.Emit(build_right ? p : b, build_right ? b : p);
     }
   }
   PublishTableStats(table);
@@ -138,33 +219,20 @@ Relation HashJoinLocal(const Relation& left, const Relation& right,
 Relation SymmetricHashJoinLocal(const Relation& left, const Relation& right,
                                 std::string out_name,
                                 const std::vector<uint32_t>* right_arrival,
-                                size_t right_virtual_rows) {
-  std::vector<int> left_key, right_key;
-  SharedColumns(left.schema(), right.schema(), &left_key, &right_key);
-
-  std::vector<std::string> out_names = left.schema().names();
-  std::vector<int> right_extra;
-  for (size_t j = 0; j < right.arity(); ++j) {
-    if (left.schema().IndexOf(right.schema().name(j)) < 0) {
-      right_extra.push_back(static_cast<int>(j));
-      out_names.push_back(right.schema().name(j));
-    }
-  }
-  Relation out(std::move(out_name), Schema(std::move(out_names)));
+                                size_t right_virtual_rows,
+                                const std::vector<Predicate>& preds) {
+  JoinShape shape = ShapeOf(left, right);
+  const std::vector<int>& left_key = shape.left_key;
+  const std::vector<int>& right_key = shape.right_key;
   if (left_key.empty()) {
     // Cross product; the symmetric machinery adds nothing.
-    return HashJoinLocal(left, right, out.name());
+    return HashJoinLocal(left, right, std::move(out_name), preds);
   }
+  Relation out(std::move(out_name), std::move(shape.out));
+  RowEmitter emitter(&out, left.arity(), std::move(shape.right_extra), preds);
 
   JoinHashTable left_table(left.NumTuples());
   JoinHashTable right_table(right.NumTuples());
-
-  Tuple t;
-  auto emit = [&](const Value* l, const Value* r) {
-    t.assign(l, l + left.arity());
-    for (int c : right_extra) t.push_back(r[c]);
-    out.AddTuple(t);
-  };
 
   // Round-robin pulls: each arriving tuple is inserted into its own table
   // and probes the other side's table, so every matching pair is emitted
@@ -188,7 +256,7 @@ Relation SymmetricHashJoinLocal(const Relation& left, const Relation& right,
     for (uint32_t e = left_table.Find(h); e != JoinHashTable::kNil;
          e = left_table.Next(e, h)) {
       const Value* l = left.Row(left_table.Row(e));
-      if (KeysEqual(l, left_key, r, right_key)) emit(l, r);
+      if (KeysEqual(l, left_key, r, right_key)) emitter.Emit(l, r);
     }
   };
   for (size_t i = 0; i < rounds; ++i) {
@@ -199,7 +267,7 @@ Relation SymmetricHashJoinLocal(const Relation& left, const Relation& right,
       for (uint32_t e = right_table.Find(h); e != JoinHashTable::kNil;
            e = right_table.Next(e, h)) {
         const Value* r = right.Row(right_table.Row(e));
-        if (KeysEqual(l, left_key, r, right_key)) emit(l, r);
+        if (KeysEqual(l, left_key, r, right_key)) emitter.Emit(l, r);
       }
     }
     if (right_arrival == nullptr) {
@@ -228,54 +296,26 @@ void SplitApplicablePredicates(const std::vector<Predicate>& preds,
   applicable->clear();
   pending->clear();
   for (const Predicate& pred : preds) {
-    bool bound = true;
-    for (const std::string& var : pred.Variables()) {
-      if (schema.IndexOf(var) < 0) bound = false;
-    }
-    (bound ? applicable : pending)->push_back(pred);
+    (Decidable(pred, schema) ? applicable : pending)->push_back(pred);
   }
 }
 
-Relation FilterByPredicates(const Relation& rel,
-                            const std::vector<Predicate>& preds) {
-  std::vector<Predicate> applicable, pending;
-  SplitApplicablePredicates(preds, rel.schema(), &applicable, &pending);
-  if (applicable.empty()) return rel;
-
-  // Resolve terms to column index or constant once.
-  struct Resolved {
-    int lhs_col;
-    Value lhs_const;
-    CmpOp op;
-    int rhs_col;
-    Value rhs_const;
-  };
-  std::vector<Resolved> resolved;
-  for (const Predicate& p : applicable) {
-    Resolved r;
-    r.op = p.op;
-    r.lhs_col = p.lhs.is_variable() ? rel.schema().IndexOf(p.lhs.var) : -1;
-    r.lhs_const = p.lhs.constant;
-    r.rhs_col = p.rhs.is_variable() ? rel.schema().IndexOf(p.rhs.var) : -1;
-    r.rhs_const = p.rhs.constant;
-    resolved.push_back(r);
+Relation FilterByPredicates(Relation rel, const std::vector<Predicate>& preds) {
+  const RowEmitter filter(&rel, rel.arity(), {}, preds);
+  if (!filter.filters()) return rel;
+  // Compact the kept rows to the front of rel's own buffer, in order.
+  std::vector<Value>& data = rel.mutable_data();
+  const size_t arity = rel.arity();
+  const size_t n = rel.NumTuples();
+  size_t kept = 0;
+  for (size_t row = 0; row < n; ++row) {
+    const Value* t = data.data() + row * arity;
+    if (!filter.Pass(t, nullptr)) continue;
+    if (kept != row) std::copy(t, t + arity, data.data() + kept * arity);
+    ++kept;
   }
-
-  Relation out(rel.name(), rel.schema());
-  for (size_t row = 0; row < rel.NumTuples(); ++row) {
-    const Value* t = rel.Row(row);
-    bool keep = true;
-    for (const Resolved& r : resolved) {
-      const Value l = r.lhs_col >= 0 ? t[r.lhs_col] : r.lhs_const;
-      const Value v = r.rhs_col >= 0 ? t[r.rhs_col] : r.rhs_const;
-      if (!Predicate::Eval(l, r.op, v)) {
-        keep = false;
-        break;
-      }
-    }
-    if (keep) out.AddTupleFrom(rel, row);
-  }
-  return out;
+  data.resize(kept * arity);
+  return rel;
 }
 
 Relation ProjectToVars(const Relation& rel,

@@ -13,8 +13,16 @@ namespace ptp {
 /// Natural hash join of two relations whose schemas carry variable names:
 /// joins on all shared names. Output schema = left columns followed by the
 /// right-only columns. Classic build/probe: builds on the smaller input.
+///
+/// Each output row is written once, straight into the output's buffer. The
+/// predicates of `preds` that are decidable on the output schema are
+/// evaluated on the two input rows before that write, so a row that fails
+/// one is never appended; the others are ignored (the caller applies them
+/// later). The output equals FilterByPredicates of the unfiltered join, row
+/// for row, and an empty `preds` is the unfiltered join.
 Relation HashJoinLocal(const Relation& left, const Relation& right,
-                       std::string out_name = "join");
+                       std::string out_name = "join",
+                       const std::vector<Predicate>& preds = {});
 
 /// The paper's binary *symmetric* hash join (Sec. 3): pulls from both inputs
 /// in round-robin fashion, inserting each arriving tuple into its own hash
@@ -32,17 +40,23 @@ Relation HashJoinLocal(const Relation& left, const Relation& right,
 /// never emit (the filter has no false negatives), so replaying survivors
 /// at their original rounds makes the filtered run's output bit-identical
 /// to the unfiltered run's.
+///
+/// `preds` is applied at emit exactly as in HashJoinLocal: a pair that
+/// fails a predicate decidable on the output schema is never written, and
+/// the surviving rows keep their unfiltered order.
 Relation SymmetricHashJoinLocal(
     const Relation& left, const Relation& right,
     std::string out_name = "join",
     const std::vector<uint32_t>* right_arrival = nullptr,
-    size_t right_virtual_rows = 0);
+    size_t right_virtual_rows = 0,
+    const std::vector<Predicate>& preds = {});
 
 /// Keeps the tuples of `rel` that satisfy every predicate in `preds` whose
 /// variables are all bound by rel's schema. Predicates referencing unbound
 /// variables are ignored (the caller applies them later in the pipeline).
-Relation FilterByPredicates(const Relation& rel,
-                            const std::vector<Predicate>& preds);
+/// Filters in place: pass an rvalue (`std::move(frag)`) and the relation's
+/// buffer moves through, with no copy when nothing applies.
+Relation FilterByPredicates(Relation rel, const std::vector<Predicate>& preds);
 
 /// Splits `preds` into (applicable now, still pending) given bound `schema`.
 void SplitApplicablePredicates(const std::vector<Predicate>& preds,

@@ -39,14 +39,30 @@ Result<Relation> LeftDeepJoinLocal(const std::vector<const Relation*>& inputs,
                   order.size(), inputs.size()));
   }
 
-  Relation acc = *inputs[static_cast<size_t>(order[0])];
-  acc = FilterByPredicates(acc, preds);
+  // The first input is read in place. `acc` owns the running intermediate
+  // once there is one: a filtered copy of the first input when a predicate
+  // is already decidable on it, else the first join's output.
+  const Relation* first = inputs[static_cast<size_t>(order[0])];
+  const Relation* left = first;
+  Relation acc;
+  std::vector<Predicate> pending, decided;
+  SplitApplicablePredicates(preds, first->schema(), &decided, &pending);
+  if (!decided.empty()) {
+    acc = FilterByPredicates(*first, decided);
+    left = &acc;
+  }
   for (size_t i = 1; i < order.size(); ++i) {
     const Relation& next = *inputs[static_cast<size_t>(order[i])];
     Timer join_timer;
-    const size_t build_tuples = acc.NumTuples();
-    acc = SymmetricHashJoinLocal(acc, next, StrFormat("join_%zu", i));
-    acc = FilterByPredicates(acc, preds);
+    const size_t build_tuples = left->NumTuples();
+    // The join applies the pending predicates that its output decides, at
+    // emit; each predicate is evaluated at the first join that binds it.
+    acc = SymmetricHashJoinLocal(*left, next, StrFormat("join_%zu", i),
+                                 nullptr, 0, pending);
+    left = &acc;
+    std::vector<Predicate> rest;
+    SplitApplicablePredicates(pending, acc.schema(), &decided, &rest);
+    pending = std::move(rest);
     if (CounterRegistry* reg = ActiveCounterRegistry()) {
       reg->Add("pipeline.joins", 1);
       reg->Add("pipeline.build_tuples", build_tuples);
@@ -67,6 +83,7 @@ Result<Relation> LeftDeepJoinLocal(const std::vector<const Relation*>& inputs,
                     i, acc.NumTuples(), max_intermediate_rows));
     }
   }
+  if (left == first) return *first;
   return acc;
 }
 

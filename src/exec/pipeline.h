@@ -26,9 +26,12 @@ struct PipelineStats {
 /// Executes a left-deep tree of local hash joins over `inputs` following
 /// `order` (indices into inputs). Comparison predicates are applied as soon
 /// as all their variables are bound — the "state of the art optimizer"
-/// behaviour the paper assumes. Joins whose intermediate would exceed
-/// `max_intermediate_rows` abort with ResourceExhausted (the paper's
-/// out-of-memory FAIL entries).
+/// behaviour the paper assumes: the ones decidable on the first input
+/// filter it, and each later one is evaluated at emit by the first join
+/// whose output binds it, so a failing row is never written. The inputs
+/// are read in place and left untouched; each intermediate is written once.
+/// Joins whose intermediate would exceed `max_intermediate_rows` abort with
+/// ResourceExhausted (the paper's out-of-memory FAIL entries).
 Result<Relation> LeftDeepJoinLocal(const std::vector<const Relation*>& inputs,
                                    const std::vector<int>& order,
                                    const std::vector<Predicate>& preds,

@@ -163,7 +163,7 @@ Result<StrategyResult> RunRegular(const NormalizedQuery& q, JoinKind join,
     }
   } else {
     pending = q.predicates;
-    acc = base[static_cast<size_t>(order[0])];
+    acc = std::move(base[static_cast<size_t>(order[0])]);
     // Apply predicates already decidable on the first atom.
     std::vector<Predicate> applicable, rest;
     SplitApplicablePredicates(pending, q.atoms[static_cast<size_t>(order[0])]
@@ -173,7 +173,7 @@ Result<StrategyResult> RunRegular(const NormalizedQuery& q, JoinKind join,
       PTP_RETURN_IF_ERROR(runtime::ParallelFor(
           static_cast<int>(acc.size()), [&](int f) {
             Relation& frag = acc[static_cast<size_t>(f)];
-            frag = FilterByPredicates(frag, applicable);
+            frag = FilterByPredicates(std::move(frag), applicable);
             return Status::OK();
           }));
       pending = rest;
@@ -320,6 +320,11 @@ Result<StrategyResult> RunRegular(const NormalizedQuery& q, JoinKind join,
     }
     PTP_RETURN_IF_ERROR(RunExchangeStep(&ctx, exchanges, {&left, &right}));
     if (ctx.failed()) return std::move(ctx.result);
+    // The exchange has committed `left`, and nothing reads the consumed
+    // intermediate again (a suspension captured it at the barrier above),
+    // so its memory goes back now. The account is unchanged: it still
+    // carries `carried_bytes` until this round's output replaces it.
+    acc = DistributedRelation();
     const uint64_t in_bytes =
         meter != nullptr ? DistBytes(left) + DistBytes(right) : 0;
 
@@ -378,11 +383,9 @@ Result<StrategyResult> RunRegular(const NormalizedQuery& q, JoinKind join,
             Timer jt;
             const std::vector<uint32_t>* arrival =
                 right_arrival.empty() ? nullptr : &right_arrival[w];
-            out->rel = FilterByPredicates(
-                SymmetricHashJoinLocal(
-                    left[w], right[w], int_name, arrival,
-                    arrival != nullptr ? right_virtual_rows[w] : 0),
-                applicable);
+            out->rel = SymmetricHashJoinLocal(
+                left[w], right[w], int_name, arrival,
+                arrival != nullptr ? right_virtual_rows[w] : 0, applicable);
             out->join_seconds = jt.Seconds();
             return Status::OK();
           }
@@ -413,7 +416,7 @@ Result<StrategyResult> RunRegular(const NormalizedQuery& q, JoinKind join,
     PTP_RETURN_IF_ERROR(runtime::ParallelFor(
         static_cast<int>(acc.size()), [&](int f) {
           Relation& frag = acc[static_cast<size_t>(f)];
-          frag = FilterByPredicates(frag, pending);
+          frag = FilterByPredicates(std::move(frag), pending);
           return Status::OK();
         }));
   }
@@ -671,7 +674,7 @@ Result<StrategyResult> RunStrategy(const NormalizedQuery& query,
       PTP_RETURN_IF_ERROR(runtime::ParallelFor(
           static_cast<int>(frags.size()), [&](int f) {
             Relation& frag = frags[static_cast<size_t>(f)];
-            frag = FilterByPredicates(frag, query.predicates);
+            frag = FilterByPredicates(std::move(frag), query.predicates);
             return Status::OK();
           }));
       FinishOutput(&ctx, std::move(frags));

@@ -61,11 +61,18 @@ void Relation::DedupSorted() {
 bool Relation::EqualsUnordered(const Relation& other) const {
   if (arity() != other.arity()) return false;
   if (NumTuples() != other.NumTuples()) return false;
+  Relation sorted = other;
+  sorted.SortLex();
+  return EqualsUnorderedSorted(sorted);
+}
+
+bool Relation::EqualsUnorderedSorted(const Relation& sorted) const {
+  PTP_DCHECK(sorted.IsSortedLex());
+  if (arity() != sorted.arity()) return false;
+  if (NumTuples() != sorted.NumTuples()) return false;
   Relation a = *this;
-  Relation b = other;
   a.SortLex();
-  b.SortLex();
-  return a.data_ == b.data_;
+  return a.data_ == sorted.data_;
 }
 
 std::string Relation::ToString(size_t max_rows) const {

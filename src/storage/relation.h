@@ -100,6 +100,11 @@ class Relation {
   /// Row-set equality ignoring tuple order (copies and sorts both sides).
   bool EqualsUnordered(const Relation& other) const;
 
+  /// EqualsUnordered against `sorted`, which must already be in SortLex
+  /// order: copies and sorts this side only, so checking many relations
+  /// against one reference sorts the reference once.
+  bool EqualsUnorderedSorted(const Relation& sorted) const;
+
   /// Debug rendering, capped at `max_rows` rows.
   std::string ToString(size_t max_rows = 20) const;
 

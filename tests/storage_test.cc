@@ -72,8 +72,15 @@ TEST(RelationTest, EqualsUnorderedIgnoresRowOrder) {
   b.AddTuple({2});
   b.AddTuple({1});
   EXPECT_TRUE(a.EqualsUnordered(b));
+  // Against a reference sorted once: a is sorted, b is not.
+  EXPECT_TRUE(b.EqualsUnorderedSorted(a));
+  Relation twice("T", Schema{"x"});
+  twice.AddTuple({1});
+  twice.AddTuple({1});
+  EXPECT_FALSE(twice.EqualsUnorderedSorted(a));
   b.AddTuple({3});
   EXPECT_FALSE(a.EqualsUnordered(b));
+  EXPECT_FALSE(b.EqualsUnorderedSorted(a));
 }
 
 TEST(SortTest, GenericArityMatchesFixed) {
