@@ -105,7 +105,7 @@ JoinStats SeedHashJoin(const Relation& build, const std::vector<int>& bkey,
   return stats;
 }
 
-// The flat kernel, exactly as HashJoinLocal drives it.
+// The flat kernel driven build-then-probe, the way SemiJoinLocal drives it.
 JoinStats FlatHashJoin(const Relation& build, const std::vector<int>& bkey,
                        const Relation& probe, const std::vector<int>& pkey,
                        uint64_t* probes, uint64_t* probe_hits) {
@@ -114,9 +114,9 @@ JoinStats FlatHashJoin(const Relation& build, const std::vector<int>& bkey,
     table.Insert(HashKey(build.Row(row), bkey), static_cast<uint32_t>(row));
   }
   table.FinalizeBuild();
-  // Arena: build rows materialized in entry order, exactly as HashJoinLocal
-  // does — match runs are contiguous, so enumeration streams instead of
-  // chasing random row indices.
+  // Arena: build rows materialized in entry order (SemiJoinLocal does the
+  // same with its key columns) — match runs are contiguous, so enumeration
+  // streams instead of chasing random row indices.
   const size_t barity = build.arity();
   std::vector<Value> arena(build.NumTuples() * barity);
   for (size_t e = 0; e < table.size(); ++e) {

@@ -150,72 +150,6 @@ class RowEmitter {
 
 }  // namespace
 
-Relation HashJoinLocal(const Relation& left, const Relation& right,
-                       std::string out_name,
-                       const std::vector<Predicate>& preds) {
-  JoinShape shape = ShapeOf(left, right);
-  const std::vector<int>& left_key = shape.left_key;
-  const std::vector<int>& right_key = shape.right_key;
-  Relation out(std::move(out_name), std::move(shape.out));
-  RowEmitter emitter(&out, left.arity(), std::move(shape.right_extra), preds);
-
-  if (left.NumTuples() == 0 || right.NumTuples() == 0) return out;
-
-  // Cross product when no shared columns.
-  if (left_key.empty()) {
-    for (size_t i = 0; i < left.NumTuples(); ++i) {
-      for (size_t j = 0; j < right.NumTuples(); ++j) {
-        emitter.Emit(left.Row(i), right.Row(j));
-      }
-    }
-    return out;
-  }
-
-  // Build on the smaller side.
-  const bool build_right = right.NumTuples() <= left.NumTuples();
-  const Relation& build = build_right ? right : left;
-  const Relation& probe = build_right ? left : right;
-  const std::vector<int>& build_key = build_right ? right_key : left_key;
-  const std::vector<int>& probe_key = build_right ? left_key : right_key;
-
-  // Insert in reverse row order: chains are most-recent-first, so probes
-  // then yield build rows in ascending order, matching the seed behavior.
-  JoinHashTable table(build.NumTuples());
-  for (size_t row = build.NumTuples(); row-- > 0;) {
-    table.Insert(HashKey(build.Row(row), build_key),
-                 static_cast<uint32_t>(row));
-  }
-  table.FinalizeBuild();
-  ScopedMemCharge table_mem(MemCategory::kHashTable, table.MemoryBytes());
-
-  // Materialize the build rows in entry order. A key's duplicate chain is
-  // contiguous after FinalizeBuild(), so match enumeration on a hot key
-  // streams its build rows from the arena instead of jumping around the
-  // build relation — one prefetched line instead of one cache miss per
-  // match, which dominates on high-fanout (skewed) keys.
-  const size_t build_arity = build.arity();
-  std::vector<Value> arena(build.NumTuples() * build_arity);
-  ScopedMemCharge arena_mem(MemCategory::kHashTable,
-                            arena.size() * sizeof(Value));
-  for (size_t e = 0; e < table.size(); ++e) {
-    const Value* src = build.Row(table.Row(static_cast<uint32_t>(e)));
-    std::copy(src, src + build_arity, arena.begin() + e * build_arity);
-  }
-
-  for (size_t prow = 0; prow < probe.NumTuples(); ++prow) {
-    const Value* p = probe.Row(prow);
-    const uint64_t h = HashKey(p, probe_key);
-    for (uint32_t e = table.Find(h); e != JoinHashTable::kNil;
-         e = table.Next(e, h)) {
-      const Value* b = arena.data() + e * build_arity;
-      if (!KeysEqual(p, probe_key, b, build_key)) continue;
-      emitter.Emit(build_right ? p : b, build_right ? b : p);
-    }
-  }
-  PublishTableStats(table);
-  return out;
-}
-
 Relation SymmetricHashJoinLocal(const Relation& left, const Relation& right,
                                 std::string out_name,
                                 const std::vector<uint32_t>* right_arrival,
@@ -224,12 +158,17 @@ Relation SymmetricHashJoinLocal(const Relation& left, const Relation& right,
   JoinShape shape = ShapeOf(left, right);
   const std::vector<int>& left_key = shape.left_key;
   const std::vector<int>& right_key = shape.right_key;
-  if (left_key.empty()) {
-    // Cross product; the symmetric machinery adds nothing.
-    return HashJoinLocal(left, right, std::move(out_name), preds);
-  }
   Relation out(std::move(out_name), std::move(shape.out));
   RowEmitter emitter(&out, left.arity(), std::move(shape.right_extra), preds);
+  if (left_key.empty()) {
+    // Cross product; the symmetric machinery adds nothing.
+    for (size_t i = 0; i < left.NumTuples(); ++i) {
+      for (size_t j = 0; j < right.NumTuples(); ++j) {
+        emitter.Emit(left.Row(i), right.Row(j));
+      }
+    }
+    return out;
+  }
 
   JoinHashTable left_table(left.NumTuples());
   JoinHashTable right_table(right.NumTuples());
@@ -353,8 +292,9 @@ Relation SemiJoinLocal(const Relation& rel, const Relation& filter) {
                  static_cast<uint32_t>(row));
   }
   table.FinalizeBuild();
-  // Key columns of the filter, materialized in entry order (see the arena
-  // note in HashJoinLocal): the duplicate scan reads sequentially.
+  // Key columns of the filter, materialized in entry order: a key's
+  // duplicate chain is contiguous after FinalizeBuild(), so the duplicate
+  // scan reads sequentially instead of jumping around the filter relation.
   const size_t stride = filter_key.size();
   std::vector<Value> keys(table.size() * stride);
   ScopedMemCharge table_mem(

@@ -10,26 +10,15 @@
 
 namespace ptp {
 
-/// Natural hash join of two relations whose schemas carry variable names:
-/// joins on all shared names. Output schema = left columns followed by the
-/// right-only columns. Classic build/probe: builds on the smaller input.
-///
-/// Each output row is written once, straight into the output's buffer. The
-/// predicates of `preds` that are decidable on the output schema are
-/// evaluated on the two input rows before that write, so a row that fails
-/// one is never appended; the others are ignored (the caller applies them
-/// later). The output equals FilterByPredicates of the unfiltered join, row
-/// for row, and an empty `preds` is the unfiltered join.
-Relation HashJoinLocal(const Relation& left, const Relation& right,
-                       std::string out_name = "join",
-                       const std::vector<Predicate>& preds = {});
-
-/// The paper's binary *symmetric* hash join (Sec. 3): pulls from both inputs
+/// The paper's binary *symmetric* hash join (Sec. 3): a natural join of two
+/// relations whose schemas carry variable names, on all shared names. Output
+/// schema = left columns followed by the right-only columns; with no shared
+/// name it is the cross product (left rows outer). It pulls from both inputs
 /// in round-robin fashion, inserting each arriving tuple into its own hash
-/// table and probing the other side's table. Same output as HashJoinLocal,
-/// but it pays to build hash tables on BOTH inputs — this is why broadcast
-/// plans burn ~W times more CPU (every worker hash-builds the full broadcast
-/// relations), the effect behind Q2's 30x BR_HJ CPU blow-up.
+/// table and probing the other side's table, so it pays to build hash tables
+/// on BOTH inputs — this is why broadcast plans burn ~W times more CPU
+/// (every worker hash-builds the full broadcast relations), the effect
+/// behind Q2's 30x BR_HJ CPU blow-up.
 ///
 /// The emission order is a function of the interleaved arrival sequence (a
 /// pair is emitted by whichever side arrives second), so compacting a
@@ -41,9 +30,12 @@ Relation HashJoinLocal(const Relation& left, const Relation& right,
 /// at their original rounds makes the filtered run's output bit-identical
 /// to the unfiltered run's.
 ///
-/// `preds` is applied at emit exactly as in HashJoinLocal: a pair that
-/// fails a predicate decidable on the output schema is never written, and
-/// the surviving rows keep their unfiltered order.
+/// Each output row is written once, straight into the output's buffer.
+/// `preds` is applied at emit: a pair that fails a predicate decidable on
+/// the output schema is never written, and the surviving rows keep their
+/// unfiltered order. The others are ignored (the caller applies them
+/// later), so the output equals FilterByPredicates of the unfiltered join,
+/// row for row.
 Relation SymmetricHashJoinLocal(
     const Relation& left, const Relation& right,
     std::string out_name = "join",

@@ -674,13 +674,13 @@ Result<ShuffleResult> HypercubeShuffle(
       SketchSource());
 }
 
-ShuffleResult KeepInPlace(const DistributedRelation& in, std::string label) {
+ShuffleResult KeepInPlace(DistributedRelation in, std::string label) {
   ShuffleResult result;
-  result.data = in;
   result.metrics.label = std::move(label);
   result.metrics.tuples_sent = 0;
   result.metrics.producer_skew = 1.0;
   result.metrics.consumer_skew = SkewFactor(FragmentSizes(in));
+  result.data = std::move(in);
   return result;
 }
 

@@ -92,7 +92,9 @@ Result<ShuffleResult> HypercubeShuffle(
 /// Identity "shuffle" that keeps the relation in place and reports zero
 /// network traffic (the partitioned big table of a broadcast plan). Nothing
 /// crosses the simulated network, so this is not a fault-injection site.
-ShuffleResult KeepInPlace(const DistributedRelation& in, std::string label);
+/// Pass an rvalue (`std::move(frags)`) and the fragments move through
+/// without a copy.
+ShuffleResult KeepInPlace(DistributedRelation in, std::string label);
 
 /// Output of a skew-aware binary-join shuffle (both sides repartitioned in
 /// one coordinated step).

@@ -107,8 +107,8 @@ class FaultInjector {
   /// Assigns the next exchange site ordinal. Coordinator only.
   int RegisterExchange(std::string_view label);
   /// Restarts site numbering, so one schedule means the same thing for
-  /// every query run under this injector (RunAllStrategies resets before
-  /// each strategy).
+  /// every query run under this injector (each RunStrategy and each
+  /// RunSemijoinPlan resets at its start).
   void Reset();
 
   /// Site-numbering cursors (stage/exchange ordinals registered so far).

@@ -225,8 +225,9 @@ void QueryProfile::BeginStrategy(std::string_view name) {
 
 StrategyProfile* QueryProfile::CurrentLocked() {
   if (strategies_.empty()) {
-    // Hooks fired outside any RunStrategy (e.g. a profiled standalone
-    // semijoin plan): collect them under an explicit catch-all section.
+    // Hooks fired outside any plan run (e.g. a profiled standalone shuffle,
+    // as the placement oracle sweep's): collect them under an explicit
+    // catch-all section.
     strategies_.emplace_back();
     strategies_.back().name = "(unattributed)";
   }

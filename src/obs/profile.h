@@ -241,9 +241,9 @@ struct RetryEpoch {
   double backoff_seconds = 0;
 };
 
-/// Everything profiled while one strategy ran (one section per RunStrategy
-/// call; plan degradations stay inside the section of the strategy that
-/// degraded).
+/// Everything profiled while one plan ran (one section per RunStrategy or
+/// RunSemijoinPlan call; a resumed run continues its section, and plan
+/// degradations stay inside the section of the plan that degraded).
 struct StrategyProfile {
   std::string name;
   std::vector<ShuffleProfile> shuffles;
@@ -287,7 +287,7 @@ SkewDecomposition DecomposeSkew(const ShuffleProfile& shuffle);
 class QueryProfile {
  public:
   /// Opens a new section; subsequent Record* calls land in it. Called by
-  /// RunStrategy with the strategy name.
+  /// the plan's run frame with the strategy name (or "SEMIJOIN").
   void BeginStrategy(std::string_view name);
   void RecordShuffle(ShuffleProfile shuffle);
   /// Records a stage timeline and, when a trace session is active, exports

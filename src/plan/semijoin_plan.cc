@@ -1,25 +1,18 @@
 #include "plan/semijoin_plan.h"
 
 #include "common/str_util.h"
-#include "common/timer.h"
 #include "exec/local_ops.h"
 #include "exec/shuffle.h"
 #include "plan/stage_driver.h"
-#include "runtime/parallel.h"
 
 namespace ptp {
+namespace plan_internal {
+namespace {
 
-using plan_internal::ColumnIndices;
-using plan_internal::Ctx;
-using plan_internal::RunExchangeStep;
-using plan_internal::SharedVars;
-using plan_internal::ShuffleInto;
-
-Result<StrategyResult> RunSemijoinPlan(const ConjunctiveQuery& query,
-                                       const NormalizedQuery& normalized,
-                                       const StrategyOptions& options,
-                                       SemijoinBreakdown* breakdown) {
-  PTP_ASSIGN_OR_RETURN(JoinTree tree, BuildJoinTree(query));
+Result<StrategyResult> RunReduceThenJoin(const JoinTree& tree,
+                                         const NormalizedQuery& normalized,
+                                         const StrategyOptions& options,
+                                         SemijoinBreakdown* breakdown) {
   Ctx ctx(normalized, options);
   const int W = ctx.W;
 
@@ -33,8 +26,8 @@ Result<StrategyResult> RunSemijoinPlan(const ConjunctiveQuery& query,
   }
 
   // One distributed semijoin: rels[target] <- rels[target] ⋉ rels[filter].
-  // An exchange that exhausts its retries, a cancel, or a deadline FAILs the
-  // plan gracefully (ctx.failed()), like the six strategies.
+  // An exhausted stage or exchange, a cancel, or a deadline FAILs the plan
+  // gracefully (ctx.failed()), like the six strategies.
   auto reduce = [&](int target, int filter) -> Status {
     const size_t ti = static_cast<size_t>(target);
     const size_t fi = static_cast<size_t>(filter);
@@ -48,23 +41,15 @@ Result<StrategyResult> RunSemijoinPlan(const ConjunctiveQuery& query,
     }
 
     // Local preprocessing: project the filter onto the shared keys, dedup.
-    // Each worker writes only its own slot, so the barrier is deterministic
-    // at any thread count.
-    DistributedRelation keys(static_cast<size_t>(W));
-    std::vector<double> prep_elapsed(static_cast<size_t>(W), 0.0);
-    Timer prep_timer;
-    PTP_RETURN_IF_ERROR(runtime::ParallelFor(W, [&](int w) {
-      const size_t wi = static_cast<size_t>(w);
-      Timer t;
-      keys[wi] = DistinctProject(rels[fi][wi], shared, "keys");
-      prep_elapsed[wi] = t.Seconds();
-      return Status::OK();
-    }));
-    const double prep_region = prep_timer.Seconds();
-    size_t key_tuples = 0;
-    for (const Relation& frag : keys) key_tuples += frag.NumTuples();
-    ctx.BookStage(StrFormat("project keys %s", rels[fi][0].name().c_str()),
-                  prep_region, prep_elapsed, {}, {}, key_tuples, false);
+    StageOutput keys;
+    PTP_RETURN_IF_ERROR(RunWorkerStage(
+        &ctx, {.label = "project keys " + rels[fi][0].name()},
+        [&](JoinKind, size_t w, WorkerOut* out) {
+          out->rel = DistinctProject(rels[fi][w], shared, "keys");
+          return Status::OK();
+        },
+        &keys));
+    if (ctx.failed()) return Status::OK();
 
     // Shuffle both sides onto the shared attributes.
     DistributedRelation target_sh, keys_sh;
@@ -83,7 +68,8 @@ Result<StrategyResult> RunSemijoinPlan(const ConjunctiveQuery& query,
          ShuffleInto(keys_label,
                      [&](ShuffleAttempt a) {
                        return HashShuffle(
-                           keys, ColumnIndices(keys[0].schema(), shared), W,
+                           keys.rel,
+                           ColumnIndices(keys.rel[0].schema(), shared), W,
                            options.salt, keys_label, a);
                      },
                      &keys_sh)},
@@ -97,22 +83,18 @@ Result<StrategyResult> RunSemijoinPlan(const ConjunctiveQuery& query,
     }
 
     // Local semijoin.
-    std::vector<double> elapsed(static_cast<size_t>(W), 0.0);
-    Timer sj_timer;
-    PTP_RETURN_IF_ERROR(runtime::ParallelFor(W, [&](int w) {
-      const size_t wi = static_cast<size_t>(w);
-      Timer t;
-      target_sh[wi] = SemiJoinLocal(target_sh[wi], keys_sh[wi]);
-      elapsed[wi] = t.Seconds();
-      return Status::OK();
-    }));
-    const double sj_region = sj_timer.Seconds();
-    size_t kept = 0;
-    for (const Relation& frag : target_sh) kept += frag.NumTuples();
-    ctx.BookStage(StrFormat("semijoin %s ⋉ %s", rels[ti][0].name().c_str(),
-                            rels[fi][0].name().c_str()),
-                  sj_region, elapsed, {}, {}, kept, false);
-    rels[ti] = std::move(target_sh);
+    StageOutput kept;
+    PTP_RETURN_IF_ERROR(RunWorkerStage(
+        &ctx,
+        {.label = StrFormat("semijoin %s ⋉ %s", rels[ti][0].name().c_str(),
+                            rels[fi][0].name().c_str())},
+        [&](JoinKind, size_t w, WorkerOut* out) {
+          out->rel = SemiJoinLocal(target_sh[w], keys_sh[w]);
+          return Status::OK();
+        },
+        &kept));
+    if (ctx.failed()) return Status::OK();
+    rels[ti] = std::move(kept.rel);
     return Status::OK();
   };
 
@@ -140,7 +122,9 @@ Result<StrategyResult> RunSemijoinPlan(const ConjunctiveQuery& query,
     }
   }
 
-  // Final join over the reduced relations with the regular-shuffle plan.
+  // Final join over the reduced relations with the regular-shuffle plan, in
+  // this plan's frame. A checkpoint taken there could not be resumed under
+  // this plan's name, so the join runs to completion.
   NormalizedQuery reduced = normalized;
   for (size_t i = 0; i < rels.size(); ++i) {
     reduced.atoms[i].relation = Gather(rels[i]);
@@ -148,12 +132,26 @@ Result<StrategyResult> RunSemijoinPlan(const ConjunctiveQuery& query,
   }
   PTP_ASSIGN_OR_RETURN(
       StrategyResult final_join,
-      RunStrategy(reduced, ShuffleKind::kRegular, JoinKind::kHashJoin,
-                  options));
+      RunConfiguration(reduced, ShuffleKind::kRegular, JoinKind::kHashJoin,
+                       options, /*allow_suspend=*/false));
   ctx.metrics().Absorb(final_join.metrics);
   ctx.result.output = std::move(final_join.output);
   ctx.result.join_order_used = final_join.join_order_used;
   return std::move(ctx.result);
+}
+
+}  // namespace
+}  // namespace plan_internal
+
+Result<StrategyResult> RunSemijoinPlan(const ConjunctiveQuery& query,
+                                       const NormalizedQuery& normalized,
+                                       const StrategyOptions& options,
+                                       SemijoinBreakdown* breakdown) {
+  PTP_ASSIGN_OR_RETURN(JoinTree tree, BuildJoinTree(query));
+  return plan_internal::RunInFrame("SEMIJOIN", /*resume=*/nullptr, [&] {
+    return plan_internal::RunReduceThenJoin(tree, normalized, options,
+                                            breakdown);
+  });
 }
 
 }  // namespace ptp

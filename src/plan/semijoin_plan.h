@@ -26,11 +26,16 @@ struct SemijoinBreakdown {
 /// projection of S onto the shared attributes (in our setting every relation
 /// is distributed — the paper's point about the extra cost).
 ///
-/// Exchanges run under the same recovery and control polls as RunStrategy:
-/// an exhausted exchange, a cancel, or a deadline is a graceful FAIL
+/// The plan is one run named "SEMIJOIN", like one RunStrategy call: one
+/// fault-site numbering, one profile section and one meter section cover
+/// the reduction and the final join. Its stages ("project keys …",
+/// "semijoin … ⋉ …") and exchanges run under the same recovery, watchdog,
+/// control polls and per-stage memory booking as the six strategies: an
+/// exhausted stage or exchange, a cancel, or a deadline is a graceful FAIL
 /// (metrics.failed with fail_code kUnavailable / kCancelled /
-/// kDeadlineExceeded), not an error. Returns InvalidArgument for cyclic
-/// queries (no full reduction exists).
+/// kDeadlineExceeded), not an error. The final join runs to completion; it
+/// never suspends. Returns InvalidArgument for cyclic queries (no full
+/// reduction exists).
 Result<StrategyResult> RunSemijoinPlan(const ConjunctiveQuery& query,
                                        const NormalizedQuery& normalized,
                                        const StrategyOptions& options,

@@ -209,6 +209,38 @@ bool Ctx::ChargeAndPoll(const std::vector<const DistributedRelation*>& charged,
   return FailOnControl(where);
 }
 
+Result<StrategyResult> RunInFrame(
+    std::string_view name, const QueryCheckpoint* resume,
+    const std::function<Result<StrategyResult>()>& body) {
+  FaultInjector* injector = ActiveFaultInjector();
+  ResourceMeter* meter = ActiveResourceMeter();
+  if (resume != nullptr) {
+    // Reset() would renumber the remaining sites differently from an
+    // uninterrupted run.
+    if (injector != nullptr) injector->set_cursor(resume->fault_cursor);
+    if (QueryLifecycle* lifecycle = ActiveQueryLifecycle()) {
+      lifecycle->BookResume();
+    }
+  } else {
+    if (injector != nullptr) injector->Reset();
+    if (QueryProfile* profile = ActiveQueryProfile()) {
+      profile->BeginStrategy(name);
+    }
+    if (meter != nullptr) meter->BeginQuery(name);
+  }
+  Span span(name, kCoordinatorTrack);
+  Result<StrategyResult> result = body();
+  // Closed after any degradation Absorb, so the figures cover the whole
+  // run (an HC fallback books into the same section).
+  if (meter != nullptr && result.ok() && result->checkpoint == nullptr) {
+    uint64_t peak = 0, charged = 0;
+    meter->FinishQuery(&peak, &charged);
+    result->metrics.peak_bytes = static_cast<size_t>(peak);
+    result->metrics.charged_bytes = static_cast<size_t>(charged);
+  }
+  return result;
+}
+
 void BookDegradation(Ctx* ctx, std::string what) {
   if (CounterRegistry* reg = ActiveCounterRegistry()) {
     reg->Add("retry.degraded", 1);

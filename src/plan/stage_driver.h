@@ -1,11 +1,12 @@
 #ifndef PTP_PLAN_STAGE_DRIVER_H_
 #define PTP_PLAN_STAGE_DRIVER_H_
 
-// Internal to src/plan/: the execution context and the two primitives every
-// plan family is built from. An exchange step moves the inputs of one local
-// stage; a worker stage runs one barrier over the W workers. Both own the
-// recovery loop, control polls, and booking, so RS, BR, HC, and the semijoin
-// plan supply only what differs: the shuffles and the per-worker join body.
+// Internal to src/plan/: the execution context, the run frame, and the two
+// primitives every plan family is built from. An exchange step moves the
+// inputs of one local stage; a worker stage runs one barrier over the W
+// workers. Both own the recovery loop, control polls, and booking, so RS,
+// BR, HC, and the semijoin plan supply only what differs: the shuffles and
+// the per-worker body.
 
 #include <algorithm>
 #include <cstdint>
@@ -90,6 +91,32 @@ struct Ctx {
         std::max(metrics().max_intermediate_tuples, tuples);
   }
 };
+
+// ---------------------------------------------------------------------------
+// Run frame.
+// ---------------------------------------------------------------------------
+
+// Runs `body` as one plan run named `name` (a StrategyName, or "SEMIJOIN").
+// A fresh run (`resume` null) restarts fault-site numbering, so a schedule
+// means the same thing for every run, and opens the run's profile and meter
+// sections: everything recorded until the next frame, an in-flight plan
+// degradation included, lands under `name`. A resumed run instead restores
+// the checkpoint's fault cursor and continues the sections the suspended
+// run left open. The run's span covers `body`, and a completed run closes
+// its meter section and reports the peak and charged bytes in its metrics;
+// a suspended run leaves the section open for ResumeStrategy to close.
+Result<StrategyResult> RunInFrame(
+    std::string_view name, const QueryCheckpoint* resume,
+    const std::function<Result<StrategyResult>()>& body);
+
+// Runs one (shuffle, join) configuration inside the caller's frame: the
+// single-atom scan, the regular shuffle, or the single-round driver.
+// `allow_suspend` is false when the run is the tail of another plan, whose
+// name a checkpoint could not be resumed under. Defined in strategies.cc.
+Result<StrategyResult> RunConfiguration(const NormalizedQuery& q,
+                                        ShuffleKind shuffle, JoinKind join,
+                                        const StrategyOptions& opts,
+                                        bool allow_suspend = true);
 
 // Records a graceful plan degradation (the recovery loop gave up on an
 // operator and the planner fell back to a more robust one).

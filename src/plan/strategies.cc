@@ -12,9 +12,7 @@
 #include "exec/shuffle.h"
 #include "fault/fault.h"
 #include "obs/counters.h"
-#include "obs/profile.h"
 #include "obs/resource.h"
-#include "obs/trace.h"
 #include "plan/stage_driver.h"
 #include "query/planner.h"
 #include "runtime/parallel.h"
@@ -29,7 +27,9 @@ using plan_internal::ColumnIndices;
 using plan_internal::Ctx;
 using plan_internal::DistBytes;
 using plan_internal::Exchange;
+using plan_internal::RunConfiguration;
 using plan_internal::RunExchangeStep;
+using plan_internal::RunInFrame;
 using plan_internal::RunWorkerStage;
 using plan_internal::SharedVars;
 using plan_internal::ShuffleInto;
@@ -80,6 +80,18 @@ void FinishOutput(Ctx* ctx, DistributedRelation frags) {
   }
   ctx->result.output = std::move(projected);
   ctx->metrics().output_tuples = ctx->result.output.NumTuples();
+}
+
+// Filters every fragment, in parallel and in place, by the predicates of
+// `preds` that its schema decides.
+Status FilterFragments(const std::vector<Predicate>& preds,
+                       DistributedRelation* frags) {
+  if (preds.empty()) return Status::OK();
+  return runtime::ParallelFor(static_cast<int>(frags->size()), [&](int f) {
+    Relation& frag = (*frags)[static_cast<size_t>(f)];
+    frag = FilterByPredicates(std::move(frag), preds);
+    return Status::OK();
+  });
 }
 
 // Chooses / validates the TJ variable order.
@@ -162,22 +174,13 @@ Result<StrategyResult> RunRegular(const NormalizedQuery& q, JoinKind join,
       return Status::InvalidArgument("checkpoint round index out of range");
     }
   } else {
-    pending = q.predicates;
     acc = std::move(base[static_cast<size_t>(order[0])]);
     // Apply predicates already decidable on the first atom.
-    std::vector<Predicate> applicable, rest;
-    SplitApplicablePredicates(pending, q.atoms[static_cast<size_t>(order[0])]
-                                           .relation.schema(),
-                              &applicable, &rest);
-    if (!applicable.empty()) {
-      PTP_RETURN_IF_ERROR(runtime::ParallelFor(
-          static_cast<int>(acc.size()), [&](int f) {
-            Relation& frag = acc[static_cast<size_t>(f)];
-            frag = FilterByPredicates(std::move(frag), applicable);
-            return Status::OK();
-          }));
-      pending = rest;
-    }
+    std::vector<Predicate> applicable;
+    SplitApplicablePredicates(
+        q.predicates, q.atoms[static_cast<size_t>(order[0])].relation.schema(),
+        &applicable, &pending);
+    PTP_RETURN_IF_ERROR(FilterFragments(applicable, &acc));
   }
 
   for (size_t step = start_step; step < order.size(); ++step) {
@@ -412,14 +415,7 @@ Result<StrategyResult> RunRegular(const NormalizedQuery& q, JoinKind join,
 
   // Final barrier: last deterministic decision point before the gather.
   if (ctx.FailOnControl("final gather")) return std::move(ctx.result);
-  if (!pending.empty()) {
-    PTP_RETURN_IF_ERROR(runtime::ParallelFor(
-        static_cast<int>(acc.size()), [&](int f) {
-          Relation& frag = acc[static_cast<size_t>(f)];
-          frag = FilterByPredicates(std::move(frag), pending);
-          return Status::OK();
-        }));
-  }
+  PTP_RETURN_IF_ERROR(FilterFragments(pending, &acc));
   FinishOutput(&ctx, std::move(acc));
   if (meter != nullptr) meter->Release(carried_bytes);
   return std::move(ctx.result);
@@ -501,86 +497,81 @@ Status RunLocalPhase(Ctx* ctx, JoinKind join,
 }
 
 // ---------------------------------------------------------------------------
-// Broadcast: keep the largest relation partitioned, broadcast the others.
+// Single-round plans: route every atom once, then run one local phase.
 // ---------------------------------------------------------------------------
-Result<StrategyResult> RunBroadcast(const NormalizedQuery& q, JoinKind join,
-                                    const StrategyOptions& opts) {
+// How a single-round plan moves one atom.
+enum class Route {
+  kInPlace,    // stays partitioned where it is (BR's largest atom)
+  kBroadcast,  // copied to every worker (BR's other atoms)
+  kHypercube,  // shuffled into the Algorithm-1 configuration (HC)
+};
+
+// Broadcast keeps its largest atom in place and broadcasts the others;
+// HyperCube shuffles every atom and, when an exchange keeps failing,
+// degrades the whole plan to regular hash shuffles.
+Result<StrategyResult> RunSingleRound(const NormalizedQuery& q,
+                                      ShuffleKind shuffle, JoinKind join,
+                                      const StrategyOptions& opts) {
   Ctx ctx(q, opts);
   const int W = ctx.W;
+  const bool hypercube = shuffle == ShuffleKind::kHypercube;
 
-  size_t largest = 0;
-  for (size_t i = 1; i < q.atoms.size(); ++i) {
-    if (q.atoms[i].relation.NumTuples() >
-        q.atoms[largest].relation.NumTuples()) {
-      largest = i;
+  std::vector<Route> routes(q.atoms.size(),
+                            hypercube ? Route::kHypercube : Route::kBroadcast);
+  std::vector<int> cell_map;
+  if (hypercube) {
+    ShareProblem problem = MakeShareProblem(q);
+    ConfigChoice choice;
+    if (opts.hc_round_down) {
+      PTP_ASSIGN_OR_RETURN(choice, RoundDownShares(problem, W));
+    } else {
+      choice = OptimizeShares(problem, W, opts.hc_options);
     }
+    choice.config.salt = opts.salt;
+    ctx.result.hc_config = choice.config;
+    cell_map = IdentityCellMap(choice.config);
+  } else {
+    // The first of the largest atoms stays in place.
+    auto smaller = [](const NormalizedAtom& a, const NormalizedAtom& b) {
+      return a.relation.NumTuples() < b.relation.NumTuples();
+    };
+    routes[static_cast<size_t>(
+        std::max_element(q.atoms.begin(), q.atoms.end(), smaller) -
+        q.atoms.begin())] = Route::kInPlace;
   }
+  const HypercubeConfig& config = ctx.result.hc_config;
 
   std::vector<DistributedRelation> shuffled(q.atoms.size());
   for (size_t i = 0; i < q.atoms.size(); ++i) {
     DistributedRelation base = PartitionRoundRobin(q.atoms[i].relation, W);
-    if (i == largest) {
-      // Stays in place — nothing crosses the network, no fault site.
+    const std::string atom_label = AtomLabel(q.atoms[i]);
+    if (routes[i] == Route::kInPlace) {
+      // Nothing crosses the network, so this is no fault site.
       Timer t;
       ShuffleResult sr =
-          KeepInPlace(base, AtomLabel(q.atoms[i]) + " (in place)");
+          KeepInPlace(std::move(base), atom_label + " (in place)");
       ctx.BookShuffle(sr.metrics, t.Seconds());
       shuffled[i] = std::move(sr.data);
-      if (ctx.ChargeAndPoll({&shuffled[i]}, AtomLabel(q.atoms[i]))) {
+      if (ctx.ChargeAndPoll({&shuffled[i]}, atom_label)) {
         return std::move(ctx.result);
       }
       continue;
     }
-    // A broadcast plan has no cheaper shuffle to fall back to.
-    const std::string label = "Broadcast " + AtomLabel(q.atoms[i]);
-    PTP_RETURN_IF_ERROR(RunExchangeStep(
-        &ctx,
-        {ShuffleInto(label,
-                     [&](ShuffleAttempt a) {
-                       return BroadcastShuffle(base, W, label, a);
-                     },
-                     &shuffled[i])},
-        {&shuffled[i]}));
-    if (ctx.failed()) return std::move(ctx.result);
-  }
-
-  PTP_RETURN_IF_ERROR(RunLocalPhase(&ctx, join, shuffled));
-  return std::move(ctx.result);
-}
-
-// ---------------------------------------------------------------------------
-// HyperCube: single-round shuffle into an Algorithm-1 configuration.
-// ---------------------------------------------------------------------------
-Result<StrategyResult> RunHypercube(const NormalizedQuery& q, JoinKind join,
-                                    const StrategyOptions& opts) {
-  Ctx ctx(q, opts);
-  const int W = ctx.W;
-
-  ShareProblem problem = MakeShareProblem(q);
-  ConfigChoice choice;
-  if (opts.hc_round_down) {
-    PTP_ASSIGN_OR_RETURN(choice, RoundDownShares(problem, W));
-  } else {
-    choice = OptimizeShares(problem, W, opts.hc_options);
-  }
-  choice.config.salt = opts.salt;
-  ctx.result.hc_config = choice.config;
-  const std::vector<int> cell_map = IdentityCellMap(choice.config);
-
-  std::vector<DistributedRelation> shuffled(q.atoms.size());
-  for (size_t i = 0; i < q.atoms.size(); ++i) {
-    DistributedRelation base = PartitionRoundRobin(q.atoms[i].relation, W);
-    const std::string label = "HCS " + AtomLabel(q.atoms[i]);
+    // Only HyperCube has a cheaper plan to fall back to.
+    const std::string label =
+        (routes[i] == Route::kHypercube ? "HCS " : "Broadcast ") + atom_label;
     Status st = RunExchangeStep(
         &ctx,
         {ShuffleInto(label,
-                     [&](ShuffleAttempt a) {
+                     [&](ShuffleAttempt a) -> Result<ShuffleResult> {
+                       if (routes[i] == Route::kBroadcast) {
+                         return BroadcastShuffle(base, W, label, a);
+                       }
                        return HypercubeShuffle(base, q.atoms[i].variables,
-                                               choice.config, cell_map, W,
-                                               label, a);
+                                               config, cell_map, W, label, a);
                      },
                      &shuffled[i])},
-        {&shuffled[i]}, opts.recovery.allow_degradation);
+        {&shuffled[i]}, hypercube && opts.recovery.allow_degradation);
     if (IsRetryableFailure(st)) {
       // The HyperCube exchange keeps failing: degrade the whole plan to
       // regular hash shuffles. The partial HC accounting (booked shuffles,
@@ -589,10 +580,9 @@ Result<StrategyResult> RunHypercube(const NormalizedQuery& q, JoinKind join,
       BookDegradation(&ctx, StrFormat("'%s': hypercube shuffle -> regular "
                                       "hash shuffle",
                                       label.c_str()));
-      Result<StrategyResult> fallback = RunRegular(
-          q, join, opts, /*resume=*/nullptr, /*allow_suspend=*/false);
-      if (!fallback.ok()) return fallback.status();
-      StrategyResult degraded = std::move(fallback).value();
+      PTP_ASSIGN_OR_RETURN(StrategyResult degraded,
+                           RunRegular(q, join, opts, /*resume=*/nullptr,
+                                      /*allow_suspend=*/false));
       QueryMetrics combined = std::move(ctx.metrics());
       combined.Absorb(degraded.metrics);
       degraded.metrics = std::move(combined);
@@ -605,24 +595,6 @@ Result<StrategyResult> RunHypercube(const NormalizedQuery& q, JoinKind join,
 
   PTP_RETURN_IF_ERROR(RunLocalPhase(&ctx, join, shuffled));
   return std::move(ctx.result);
-}
-
-// Closes the meter section of a completed run and reports its peak and
-// charged bytes. Called after any degradation Absorb, so the metrics carry
-// the whole run's account (HC fallbacks book into the same section). A
-// suspended run leaves its section open: the same meter object stays
-// installed across the suspension and ResumeStrategy closes it, so the
-// final peak/charged figures match an uninterrupted run exactly.
-void FinishMeterSection(Result<StrategyResult>* result) {
-  ResourceMeter* meter = ActiveResourceMeter();
-  if (meter == nullptr || !result->ok() || (*result)->checkpoint != nullptr) {
-    return;
-  }
-  uint64_t peak = 0;
-  uint64_t charged = 0;
-  meter->FinishQuery(&peak, &charged);
-  (*result)->metrics.peak_bytes = static_cast<size_t>(peak);
-  (*result)->metrics.charged_bytes = static_cast<size_t>(charged);
 }
 
 }  // namespace
@@ -639,6 +611,29 @@ const char* StrategyName(ShuffleKind shuffle, JoinKind join) {
   return "?";
 }
 
+namespace plan_internal {
+
+Result<StrategyResult> RunConfiguration(const NormalizedQuery& q,
+                                        ShuffleKind shuffle, JoinKind join,
+                                        const StrategyOptions& opts,
+                                        bool allow_suspend) {
+  if (q.atoms.size() == 1) {
+    // Single-atom query: no join; evaluate locally.
+    Ctx ctx(q, opts);
+    if (ctx.FailOnControl("single-atom scan")) return std::move(ctx.result);
+    DistributedRelation frags = PartitionRoundRobin(q.atoms[0].relation, ctx.W);
+    PTP_RETURN_IF_ERROR(FilterFragments(q.predicates, &frags));
+    FinishOutput(&ctx, std::move(frags));
+    return std::move(ctx.result);
+  }
+  if (shuffle == ShuffleKind::kRegular) {
+    return RunRegular(q, join, opts, /*resume=*/nullptr, allow_suspend);
+  }
+  return RunSingleRound(q, shuffle, join, opts);
+}
+
+}  // namespace plan_internal
+
 Result<StrategyResult> RunStrategy(const NormalizedQuery& query,
                                    ShuffleKind shuffle, JoinKind join,
                                    const StrategyOptions& options) {
@@ -648,51 +643,9 @@ Result<StrategyResult> RunStrategy(const NormalizedQuery& query,
   if (options.num_workers < 1) {
     return Status::InvalidArgument("need at least one worker");
   }
-  // Restart fault-site numbering: a schedule means the same thing for every
-  // strategy run (site ordinals count from the strategy's first barrier).
-  if (FaultInjector* injector = ActiveFaultInjector()) injector->Reset();
-  // Open a fresh profile section; everything recorded until the next
-  // RunStrategy (shuffles, stage timelines, retry epochs — including those
-  // of an in-flight plan degradation) lands under this strategy's name.
-  if (QueryProfile* profile = ActiveQueryProfile()) {
-    profile->BeginStrategy(StrategyName(shuffle, join));
-  }
-  // The memory meter opens a section per strategy run, like the profiler.
-  if (ResourceMeter* meter = ActiveResourceMeter()) {
-    meter->BeginQuery(StrategyName(shuffle, join));
-  }
-  Span strategy_span(StrategyName(shuffle, join), kCoordinatorTrack);
-  auto run = [&]() -> Result<StrategyResult> {
-    if (query.atoms.size() == 1) {
-      // Single-atom query: no join; evaluate locally.
-      Ctx ctx(query, options);
-      if (ctx.FailOnControl("single-atom scan")) {
-        return std::move(ctx.result);
-      }
-      DistributedRelation frags =
-          PartitionRoundRobin(query.atoms[0].relation, ctx.W);
-      PTP_RETURN_IF_ERROR(runtime::ParallelFor(
-          static_cast<int>(frags.size()), [&](int f) {
-            Relation& frag = frags[static_cast<size_t>(f)];
-            frag = FilterByPredicates(std::move(frag), query.predicates);
-            return Status::OK();
-          }));
-      FinishOutput(&ctx, std::move(frags));
-      return std::move(ctx.result);
-    }
-    switch (shuffle) {
-      case ShuffleKind::kRegular:
-        return RunRegular(query, join, options);
-      case ShuffleKind::kBroadcast:
-        return RunBroadcast(query, join, options);
-      case ShuffleKind::kHypercube:
-        return RunHypercube(query, join, options);
-    }
-    return Status::InvalidArgument("unknown shuffle kind");
-  };
-  Result<StrategyResult> result = run();
-  FinishMeterSection(&result);
-  return result;
+  return RunInFrame(StrategyName(shuffle, join), /*resume=*/nullptr, [&] {
+    return RunConfiguration(query, shuffle, join, options);
+  });
 }
 
 Result<StrategyResult> ResumeStrategy(const NormalizedQuery& query,
@@ -708,20 +661,9 @@ Result<StrategyResult> ResumeStrategy(const NormalizedQuery& query,
         StrFormat("checkpoint was captured by %s, resume asked for %s",
                   checkpoint.strategy.c_str(), StrategyName(shuffle, join)));
   }
-  // Restore the fault-site cursor (Reset() would renumber remaining sites
-  // differently from an uninterrupted run). No BeginQuery: the suspended
-  // run's meter/profile sections are still open.
-  if (FaultInjector* injector = ActiveFaultInjector()) {
-    injector->set_cursor(checkpoint.fault_cursor);
-  }
-  if (QueryLifecycle* lifecycle = ActiveQueryLifecycle()) {
-    lifecycle->BookResume();
-  }
-  Span strategy_span(StrategyName(shuffle, join), kCoordinatorTrack);
-  Result<StrategyResult> result =
-      RunRegular(query, join, options, &checkpoint);
-  FinishMeterSection(&result);
-  return result;
+  return RunInFrame(StrategyName(shuffle, join), &checkpoint, [&] {
+    return RunRegular(query, join, options, &checkpoint);
+  });
 }
 
 std::vector<std::pair<ShuffleKind, JoinKind>> AllStrategies() {

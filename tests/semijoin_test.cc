@@ -1,9 +1,14 @@
 #include "plan/semijoin_plan.h"
 
+#include <string>
+#include <utility>
+
 #include "exec/lifecycle.h"
 #include "fault/fault.h"
 #include "gtest/gtest.h"
+#include "obs/profile.h"
 #include "query/parser.h"
+#include "runtime/parallel.h"
 #include "test_util.h"
 
 namespace ptp {
@@ -132,9 +137,9 @@ TEST(SemijoinPlanTest, ExhaustedExchangeFailsGracefullyAsUnavailable) {
   EXPECT_EQ(result->output.NumTuples(), 0u);
 }
 
-// A cancel that lands during a semijoin exchange is a graceful kCancelled
-// FAIL, not an error status.
-TEST(SemijoinPlanTest, CancelDuringExchangeFailsGracefully) {
+// A cancel that lands at the plan's first poll (the first key projection's
+// recovery loop) is a graceful kCancelled FAIL, not an error status.
+TEST(SemijoinPlanTest, CancelAtFirstPollFailsGracefully) {
   QuerySetup s = MakeSetup("P(x,w) :- R(x,y), S(y,z), U(z,w).", 41, 100, 10);
   StrategyOptions opts;
   opts.num_workers = 4;
@@ -148,6 +153,99 @@ TEST(SemijoinPlanTest, CancelDuringExchangeFailsGracefully) {
   EXPECT_TRUE(lifecycle.stats().cancelled);
   EXPECT_EQ(lifecycle.stats().polls, 1u);
   EXPECT_EQ(result->output.NumTuples(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// One run frame: the reduction and the final join are one plan run, with
+// one fault-site numbering and one profile section.
+// ---------------------------------------------------------------------------
+
+// Runs the semijoin plan on paper query `qn` at test size, W = 16.
+Result<StrategyResult> RunPaperQuery(int qn) {
+  WorkloadFactory factory(test::TinyScale());
+  auto wl = factory.Make(qn);
+  PTP_CHECK(wl.ok()) << wl.status().ToString();
+  StrategyOptions opts;
+  opts.num_workers = 16;
+  return RunSemijoinPlan(wl->query, wl->normalized, opts, nullptr);
+}
+
+// A schedule names the plan's first exchange once: the final join does not
+// renumber the fault sites from zero.
+TEST(SemijoinFrameTest, ExchangeFaultIsInjectedOnce) {
+  for (int qn : {3, 7}) {
+    auto plan = FaultPlan::Parse("drop@x=0,p=0,c=0");
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    FaultInjector injector(std::move(plan).value());
+    runtime::ScopedQueryContext sinks({.faults = &injector});
+    auto result = RunPaperQuery(qn);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_FALSE(result->metrics.failed) << result->metrics.fail_reason;
+    EXPECT_EQ(injector.injected(), 1u) << "Q" << qn;
+  }
+}
+
+TEST(SemijoinFrameTest, OneProfileSectionHoldsReductionAndFinalJoin) {
+  for (int qn : {3, 7}) {
+    QueryProfile profile;
+    runtime::ScopedQueryContext sinks({.profile = &profile});
+    auto result = RunPaperQuery(qn);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const std::vector<StrategyProfile> sections = profile.Snapshot();
+    ASSERT_EQ(sections.size(), 1u) << "Q" << qn;
+    const std::vector<ShuffleProfile>& shuffles = sections[0].shuffles;
+    EXPECT_EQ(shuffles.size(), result->metrics.shuffles.size()) << "Q" << qn;
+    size_t reduction = 0, final_join = 0;
+    for (const ShuffleProfile& shuffle : shuffles) {
+      if (shuffle.label.find("(semijoin ") != std::string::npos) ++reduction;
+      if (shuffle.label.find(" ->h(") != std::string::npos) ++final_join;
+    }
+    EXPECT_GT(reduction, 0u) << "Q" << qn;
+    EXPECT_GT(final_join, 0u) << "Q" << qn;
+    EXPECT_EQ(reduction + final_join, shuffles.size()) << "Q" << qn;
+  }
+}
+
+// The reduction's stages are fault sites: stage site 0 is the first key
+// projection, and its replay converges to the fault-free output.
+TEST(SemijoinFrameTest, ProjectionStageRecoversFromCrash) {
+  for (int qn : {3, 7}) {
+    auto clean = RunPaperQuery(qn);
+    ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+
+    auto plan = FaultPlan::Parse("crash@site=0,worker=0");
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    FaultInjector injector(std::move(plan).value());
+    runtime::ScopedQueryContext sinks({.faults = &injector});
+    auto faulted = RunPaperQuery(qn);
+    ASSERT_TRUE(faulted.ok()) << faulted.status().ToString();
+    EXPECT_FALSE(faulted->metrics.failed) << faulted->metrics.fail_reason;
+
+    std::vector<std::string> retried;
+    for (const StageMetrics& stage : faulted->metrics.stages) {
+      if (stage.retries > 0) retried.push_back(stage.label);
+    }
+    ASSERT_EQ(retried.size(), 1u) << "Q" << qn;
+    EXPECT_EQ(retried[0].rfind("project keys ", 0), 0u)
+        << "Q" << qn << ": " << retried[0];
+    EXPECT_EQ(faulted->output.data(), clean->output.data()) << "Q" << qn;
+  }
+}
+
+// A checkpoint of the final join could not be resumed under the semijoin
+// plan, so a suspend request is never honored and the plan completes.
+TEST(SemijoinFrameTest, SuspendRequestIsNeverHonored) {
+  auto clean = RunPaperQuery(3);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  QueryLifecycle lifecycle;
+  lifecycle.RequestSuspend();
+  runtime::ScopedQueryContext sinks({.lifecycle = &lifecycle});
+  auto result = RunPaperQuery(3);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->checkpoint, nullptr);
+  EXPECT_EQ(lifecycle.stats().suspends, 0u);
+  EXPECT_FALSE(result->metrics.failed) << result->metrics.fail_reason;
+  EXPECT_EQ(result->output.data(), clean->output.data());
 }
 
 }  // namespace

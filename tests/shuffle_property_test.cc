@@ -161,8 +161,8 @@ TEST(SkewAwareShuffleTest, JoinResultUnchangedAndSkewBounded) {
                       const DistributedRelation& b) {
     Relation out("out", Schema{"x", "y", "z"});
     for (int w = 0; w < kW; ++w) {
-      Relation j = HashJoinLocal(a[static_cast<size_t>(w)],
-                                 b[static_cast<size_t>(w)]);
+      Relation j = SymmetricHashJoinLocal(a[static_cast<size_t>(w)],
+                                          b[static_cast<size_t>(w)]);
       Relation p = ProjectToVars(j, {"x", "y", "z"});
       out.mutable_data().insert(out.mutable_data().end(), p.data().begin(),
                                 p.data().end());
