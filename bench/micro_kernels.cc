@@ -1,10 +1,10 @@
 // Seed-vs-new kernel microbenchmark: measures the flat join kernels
 // (JoinHashTable build/probe, MSB-radix fragment sort, galloping trie seek,
-// galloping trie block end) against faithful copies of the seed
-// implementations they replaced (std::unordered_map<uint64_t,
-// std::vector<uint32_t>> build/probe, direct std::sort, plain binary-search
-// seek, full-range multi-column prefix upper bound), on the Q1 (Twitter
-// triangle) and Q4 (Freebase) workload relations.
+// CSR trie levels) against faithful copies of the implementations they
+// replaced (std::unordered_map<uint64_t, std::vector<uint32_t>>
+// build/probe, direct std::sort, plain binary-search seek, row-major trie
+// walk with a galloping block end), on the Q1 (Twitter triangle) and Q4
+// (Freebase) workload relations.
 //
 // Times are per-thread CPU seconds (CLOCK_THREAD_CPUTIME_ID) with the
 // runtime pinned to one thread: the point is the algorithmic win
@@ -231,17 +231,39 @@ uint64_t GallopSeekSweep(const std::vector<Value>& sorted,
   return digest;
 }
 
-// Visits every key block of every trie level of the lexicographically sorted
-// rows in `data`, as a full trie walk does, finding each block's end with
-// `block_end(pos, hi, depth)`; returns a digest of the block ends.
-template <typename BlockEnd>
-uint64_t WalkKeyBlocks(const std::vector<Value>& data, size_t arity,
-                       BlockEnd&& block_end) {
+// Digest term for visiting `key` at trie level `depth`; both trie walks
+// visit the same (depth, key) pairs, so their sums agree.
+uint64_t VisitTerm(size_t depth, Value key) {
+  return Mix64(static_cast<uint64_t>(key) * 64 + depth);
+}
+
+// The row-major trie walk TrieIterator used to run: visits every key of
+// every level of the lexicographically sorted rows in `data`, finding each
+// key block's end by galloping pos+1, +2, +4, ... down one column (rows
+// `arity` values apart), then binary-searching the last bracket.
+uint64_t RowMajorTrieWalk(const std::vector<Value>& data, size_t arity) {
+  auto block_end = [&](size_t pos, size_t hi, size_t depth) {
+    const Value* col = data.data() + depth;
+    const Value key = col[pos * arity];
+    size_t bound = 1;
+    while (pos + bound < hi && col[(pos + bound) * arity] <= key) bound <<= 1;
+    size_t lo = pos + bound / 2 + 1;
+    size_t end = std::min(pos + bound, hi);
+    while (lo < end) {
+      const size_t mid = lo + (end - lo) / 2;
+      if (col[mid * arity] <= key) {
+        lo = mid + 1;
+      } else {
+        end = mid;
+      }
+    }
+    return lo;
+  };
   uint64_t digest = 0;
   auto walk = [&](auto&& self, size_t lo, size_t hi, size_t depth) -> void {
     for (size_t pos = lo; pos < hi;) {
       const size_t end = block_end(pos, hi, depth);
-      digest += Mix64(end);
+      digest += VisitTerm(depth, data[pos * arity + depth]);
       if (depth + 1 < arity) self(self, pos, end, depth + 1);
       pos = end;
     }
@@ -250,20 +272,28 @@ uint64_t WalkKeyBlocks(const std::vector<Value>& data, size_t arity,
   return digest;
 }
 
-// The seed block end: binary search over the whole remaining range [pos, hi)
-// comparing the (depth + 1)-column prefix.
-uint64_t SeedBlockEndWalk(const std::vector<Value>& data, size_t arity) {
-  return WalkKeyBlocks(data, arity, [&](size_t pos, size_t hi, size_t depth) {
-    return UpperBoundRows(data, arity, pos, hi, data.data() + pos * arity,
-                          depth + 1);
-  });
-}
-
-// The galloping block end TrieIterator runs: one column, from pos.
-uint64_t GallopBlockEndWalk(const std::vector<Value>& data, size_t arity) {
-  return WalkKeyBlocks(data, arity, [&](size_t pos, size_t hi, size_t depth) {
-    return KeyBlockEnd(data.data() + depth, arity, pos, hi);
-  });
+// Builds the CSR trie levels of the sorted relation and walks every key of
+// every level through the cursor (Open / Next / Up), as the join does.
+uint64_t CsrTrieWalk(const Relation& sorted) {
+  TrieIterator it(&sorted);
+  const size_t arity = sorted.arity();
+  uint64_t digest = 0;
+  auto walk = [&](auto&& self) -> void {
+    const size_t depth = static_cast<size_t>(it.depth());
+    for (; !it.AtEnd(); it.Next()) {
+      digest += VisitTerm(depth, it.Key());
+      if (depth + 1 < arity) {
+        it.Open();
+        self(self);
+        it.Up();
+      }
+    }
+  };
+  if (!it.EmptyRelation()) {
+    it.Open();
+    walk(walk);
+  }
+  return digest;
 }
 
 struct KernelRow {
@@ -443,19 +473,20 @@ int main(int argc, char** argv) {
     rows.push_back({"trie_seek_sweep", id, seed_seek, gallop_seek});
     counters["tj.gallop_steps"] += gallop_steps;
 
-    // --- trie block end (galloping one-column run vs prefix upper bound) ---
-    // Every key block of every level of the sorted fragment, as one full
-    // trie walk visits them.
-    uint64_t seed_blocks = 0, gallop_blocks = 0;
-    const double seed_block_end = TimeMin(reps, [&] {
-      seed_blocks = SeedBlockEndWalk(radix_sorted, frag.arity());
+    // --- trie levels (row-major walk vs CSR build + walk) ---
+    // Every key of every level of the sorted fragment, as one full trie
+    // walk visits them; the CSR side pays for building its levels.
+    Relation sorted_frag(frag.name(), frag.schema());
+    sorted_frag.mutable_data() = radix_sorted;
+    uint64_t row_major_keys = 0, csr_keys = 0;
+    const double row_major_walk = TimeMin(reps, [&] {
+      row_major_keys = RowMajorTrieWalk(radix_sorted, frag.arity());
     });
-    const double gallop_block_end = TimeMin(reps, [&] {
-      gallop_blocks = GallopBlockEndWalk(radix_sorted, frag.arity());
-    });
-    PTP_CHECK(seed_blocks == gallop_blocks)
-        << id << ": galloping block end finds different key blocks";
-    rows.push_back({"trie_block_end", id, seed_block_end, gallop_block_end});
+    const double csr_walk =
+        TimeMin(reps, [&] { csr_keys = CsrTrieWalk(sorted_frag); });
+    PTP_CHECK(row_major_keys == csr_keys)
+        << id << ": CSR trie levels visit different keys";
+    rows.push_back({"trie_levels", id, row_major_walk, csr_walk});
   }
 
   std::ofstream out(json_path);

@@ -55,8 +55,8 @@ void BM_TrieSeek(benchmark::State& state) {
   g.SortLex();
   Rng rng(9);
   const Value max_node = static_cast<Value>(state.range(0) / 12 + 64);
+  TrieIterator it(&g);  // the level build is BM_TriangleTributaryJoin's
   for (auto _ : state) {
-    TrieIterator it(&g);
     it.Open();
     // A run of ascending seeks across the first level.
     Value v = 0;
@@ -65,6 +65,7 @@ void BM_TrieSeek(benchmark::State& state) {
       if (v > max_node) break;
       it.Seek(v);
     }
+    it.Up();
     benchmark::DoNotOptimize(it.num_seeks());
   }
 }

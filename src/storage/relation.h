@@ -14,9 +14,10 @@ namespace ptp {
 
 /// In-memory relation stored as a flat row-major array of int64 values.
 ///
-/// This is the layout the Tributary join wants: after a lexicographic sort,
-/// trie levels become contiguous sub-arrays and seek() is a binary search on
-/// a stride. It is also what the simulated shuffle moves between workers.
+/// The Tributary join sorts it lexicographically and copies it, in one pass,
+/// into per-level arrays of distinct keys (tj/trie_iterator.h), where a
+/// seek gallops over contiguous keys. It is also what the simulated shuffle
+/// moves between workers.
 class Relation {
  public:
   Relation() = default;

@@ -25,8 +25,9 @@ void SortRowsLex(std::vector<Value>* data, size_t arity);
 
 /// Number of rows in the half-open row range [lo, hi) of `data` whose first
 /// `prefix_len` columns are strictly less than `key` (lexicographically).
-/// (TrieIterator searches one column instead — the rows it searches share
-/// the prefix above it; see KeyBlockEnd in tj/trie_iterator.h.)
+/// (TrieIterator does not search rows: it copies the sorted rows into
+/// per-level arrays of distinct keys and searches those; see
+/// tj/trie_iterator.h.)
 size_t LowerBoundRows(const std::vector<Value>& data, size_t arity, size_t lo,
                       size_t hi, const Value* key, size_t prefix_len);
 

@@ -35,11 +35,16 @@ class LeapfrogJoin {
   /// All iterators must already be Open()ed at the level to intersect.
   /// `stats`, when given, accumulates across this instance's lifetime (it
   /// may be shared by many instances, e.g. one per recursion depth).
+  /// `cursor_seeks`, when given, is a running total that gains every seek
+  /// the cursors themselves count for the moves this instance makes (the
+  /// Tributary join's seek budget reads it; a backend may count more than
+  /// the leapfrog issues — the B-tree cursor counts each Next as a seek).
   /// Moving a caller's vector in (and back out with ReleaseIters) reuses
   /// its buffer: constructing a leapfrog then allocates nothing.
   explicit LeapfrogJoin(std::vector<Cursor*> iters,
-                        LeapfrogStats* stats = nullptr)
-      : iters_(std::move(iters)), stats_(stats) {
+                        LeapfrogStats* stats = nullptr,
+                        size_t* cursor_seeks = nullptr)
+      : iters_(std::move(iters)), stats_(stats), cursor_seeks_(cursor_seeks) {
     PTP_CHECK(!iters_.empty());
     for (Cursor* it : iters_) {
       if (it->AtEnd()) {
@@ -65,7 +70,7 @@ class LeapfrogJoin {
     PTP_DCHECK(!at_end_);
     Cursor* it = iters_[p_];
     if (stats_ != nullptr) ++stats_->nexts;
-    it->Next();
+    Tally(it, [&] { it->Next(); });
     if (it->AtEnd()) {
       at_end_ = true;
       return;
@@ -80,7 +85,7 @@ class LeapfrogJoin {
     if (key_ >= v) return;
     Cursor* it = iters_[p_];
     if (stats_ != nullptr) ++stats_->seeks;
-    it->Seek(v);
+    Tally(it, [&] { it->Seek(v); });
     if (it->AtEnd()) {
       at_end_ = true;
       return;
@@ -99,6 +104,18 @@ class LeapfrogJoin {
     if (++p_ == iters_.size()) p_ = 0;
   }
 
+  /// Runs `move` on `it`, adding the seeks `it` counted to cursor_seeks_.
+  template <typename Move>
+  void Tally(const Cursor* it, Move&& move) {
+    if (cursor_seeks_ == nullptr) {
+      move();
+      return;
+    }
+    const size_t before = it->num_seeks();
+    move();
+    *cursor_seeks_ += it->num_seeks() - before;
+  }
+
   /// Core search loop: leapfrogs until all iterators agree on one key.
   void Search() {
     // Invariant: iters_ is cyclically ordered by key starting at p_; the
@@ -112,7 +129,7 @@ class LeapfrogJoin {
         return;  // all k iterators agree
       }
       if (stats_ != nullptr) ++stats_->seeks;
-      it->Seek(max_key);
+      Tally(it, [&] { it->Seek(max_key); });
       if (it->AtEnd()) {
         at_end_ = true;
         return;
@@ -124,6 +141,7 @@ class LeapfrogJoin {
 
   std::vector<Cursor*> iters_;
   LeapfrogStats* stats_ = nullptr;  // not owned; may be null
+  size_t* cursor_seeks_ = nullptr;  // not owned; may be null
   size_t p_ = 0;                    // index of the iterator to move next
   Value key_ = 0;
   bool at_end_ = false;

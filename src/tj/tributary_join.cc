@@ -63,16 +63,14 @@ class JoinDriver {
 template <typename Cursor>
 class Joiner final : public JoinDriver {
  public:
-  // Takes ownership of the trie storage (sorted relations or B+-trees) and
-  // the cursors over it.
-  Joiner(std::vector<Relation> sorted_inputs,
-         std::vector<std::unique_ptr<BPlusTree>> trees,
+  // Takes ownership of the cursors and of the B+-trees (if any) they read;
+  // array cursors own their trie levels.
+  Joiner(std::vector<std::unique_ptr<BPlusTree>> trees,
          std::vector<std::unique_ptr<Cursor>> cursors,
          std::vector<std::vector<int>> iters_per_depth,
          const std::vector<ResolvedPredicate>& preds, size_t num_vars,
          const TJOptions& options)
-      : inputs_(std::move(sorted_inputs)),
-        trees_(std::move(trees)),
+      : trees_(std::move(trees)),
         iters_(std::move(cursors)),
         iters_per_depth_(std::move(iters_per_depth)),
         preds_per_depth_(num_vars),
@@ -124,16 +122,6 @@ class Joiner final : public JoinDriver {
   }
 
  private:
-  // Cursor Seek() calls so far, for the seek budget. A direct sum over the
-  // (statically bound) cursor counters: the B-tree cursor counts each
-  // Next() as a seek too, so the leapfrogs' own seek counts would not be
-  // the same number on that backend.
-  size_t SeeksSoFar() const {
-    size_t total = 0;
-    for (const auto& it : iters_) total += it->num_seeks();
-    return total;
-  }
-
   bool PredicatesHold(size_t depth) const {
     for (const ResolvedPredicate& p : preds_per_depth_[depth]) {
       const Value l = p.lhs_idx >= 0 ? binding_[static_cast<size_t>(p.lhs_idx)]
@@ -180,14 +168,15 @@ class Joiner final : public JoinDriver {
     }
     Status status;
     if (!empty) {
-      LeapfrogJoin<Cursor> leapfrog(std::move(open), &lf_stats_[depth]);
+      LeapfrogJoin<Cursor> leapfrog(std::move(open), &lf_stats_[depth],
+                                    &seeks_);
       while (!leapfrog.AtEnd()) {
         binding_[depth] = leapfrog.Key();
         if (PredicatesHold(depth)) {
           status = Recurse(depth + 1);
           if (!status.ok()) break;
         }
-        if (SeeksSoFar() > options_.max_seeks) {
+        if (seeks_ > options_.max_seeks) {
           status = Status::ResourceExhausted(StrFormat(
               "Tributary join exceeded %zu seeks", options_.max_seeks));
           break;
@@ -200,7 +189,6 @@ class Joiner final : public JoinDriver {
     return status;
   }
 
-  std::vector<Relation> inputs_;
   std::vector<std::unique_ptr<BPlusTree>> trees_;
   std::vector<std::unique_ptr<Cursor>> iters_;
   std::vector<std::vector<int>> iters_per_depth_;
@@ -212,16 +200,21 @@ class Joiner final : public JoinDriver {
   std::vector<LeapfrogStats> lf_stats_;  // one per variable (depth)
   Relation* out_ = nullptr;
   size_t count_ = 0;
+  // Cursor Seek() calls so far, for the seek budget: the leapfrogs add the
+  // seeks the cursors count, so the B-tree cursor's Next() seeks are in too
+  // and the total is Σ num_seeks() over the cursors on either backend.
+  size_t seeks_ = 0;
 };
 
 // Shared preparation for TributaryJoin / TributaryCount: permutes and sorts
-// (or tree-builds) the inputs and constructs the Joiner.
+// the inputs into trie levels (or tree-builds them) and constructs the
+// Joiner.
 struct PreparedJoin {
   std::unique_ptr<JoinDriver> joiner;
   double sort_seconds = 0;
-  /// Trie storage bytes (sorted arrays or B+-tree rows — same row count
-  /// either way), held live until the join finishes.
-  ScopedMemCharge trie_mem;
+  /// Trie storage bytes (each input's trie levels, or the B+-tree rows),
+  /// held live until the join finishes.
+  std::vector<ScopedMemCharge> trie_mem;
 };
 
 }  // namespace
@@ -242,12 +235,15 @@ Result<PreparedJoin> Prepare(const std::vector<const Relation*>& inputs,
     return -1;
   };
 
-  // Sort phase: permute each input's columns into global-order position and
-  // sort lexicographically.
+  // Sort phase: permute each input's columns into global-order position,
+  // sort lexicographically and build the trie levels, freeing the sorted
+  // rows once its levels exist (the B-tree backend pays its on-the-fly
+  // insertion build instead).
+  PreparedJoin prepared;
   Timer sort_timer;
-  std::vector<Relation> sorted;
-  sorted.reserve(inputs.size());
-  uint64_t trie_bytes = 0;
+  std::vector<std::unique_ptr<TrieIterator>> tries;
+  std::vector<std::unique_ptr<BPlusTree>> trees;
+  uint64_t tree_bytes = 0;
   // iters_per_depth[d] = inputs whose trie level matching var_order[d]
   // exists (i.e. atoms containing that variable).
   std::vector<std::vector<int>> iters_per_depth(var_order.size());
@@ -273,27 +269,25 @@ Result<PreparedJoin> Prepare(const std::vector<const Relation*>& inputs,
           .push_back(static_cast<int>(i));
     }
     Relation permuted = rel.PermuteColumns(perm);
-    trie_bytes += static_cast<uint64_t>(permuted.NumTuples()) *
-                  permuted.arity() * sizeof(Value);
-    if (options.backend == TJBackend::kSortedArray) {
-      permuted.SortLex();
-    }
-    sorted.push_back(std::move(permuted));
-  }
-
-  // Build the trie storage: sorting already happened above for the array
-  // backend; the B-tree backend pays its on-the-fly insertion build here.
-  std::vector<std::unique_ptr<BPlusTree>> trees;
-  if (options.backend == TJBackend::kBTree) {
-    trees.reserve(sorted.size());
-    for (Relation& rel : sorted) {
-      auto tree = std::make_unique<BPlusTree>(rel.arity());
-      tree->InsertAll(rel);
-      rel.Clear();  // rows now live in the tree
+    const uint64_t row_bytes = static_cast<uint64_t>(permuted.NumTuples()) *
+                               permuted.arity() * sizeof(Value);
+    if (options.backend == TJBackend::kBTree) {
+      auto tree = std::make_unique<BPlusTree>(permuted.arity());
+      tree->InsertAll(permuted);
       trees.push_back(std::move(tree));
+      tree_bytes += row_bytes;
+      continue;
     }
+    permuted.SortLex();
+    // The sorted rows and the levels are both live during the build.
+    ScopedMemCharge rows_mem(MemCategory::kTrie, row_bytes);
+    tries.push_back(std::make_unique<TrieIterator>(&permuted));
+    prepared.trie_mem.emplace_back(MemCategory::kTrie, tries.back()->bytes());
   }
-  const double sort_seconds = sort_timer.Seconds();
+  if (options.backend == TJBackend::kBTree) {
+    prepared.trie_mem.emplace_back(MemCategory::kTrie, tree_bytes);
+  }
+  prepared.sort_seconds = sort_timer.Seconds();
 
   for (size_t d = 0; d < var_order.size(); ++d) {
     if (iters_per_depth[d].empty()) {
@@ -321,9 +315,6 @@ Result<PreparedJoin> Prepare(const std::vector<const Relation*>& inputs,
     resolved.push_back(r);
   }
 
-  PreparedJoin prepared;
-  prepared.sort_seconds = sort_seconds;
-  prepared.trie_mem = ScopedMemCharge(MemCategory::kTrie, trie_bytes);
   if (options.backend == TJBackend::kBTree) {
     std::vector<std::unique_ptr<BTreeTrieIterator>> cursors;
     cursors.reserve(trees.size());
@@ -331,20 +322,12 @@ Result<PreparedJoin> Prepare(const std::vector<const Relation*>& inputs,
       cursors.push_back(std::make_unique<BTreeTrieIterator>(tree.get()));
     }
     prepared.joiner = std::make_unique<Joiner<BTreeTrieIterator>>(
-        std::move(sorted), std::move(trees), std::move(cursors),
-        std::move(iters_per_depth), resolved, var_order.size(), options);
+        std::move(trees), std::move(cursors), std::move(iters_per_depth),
+        resolved, var_order.size(), options);
   } else {
-    // Cursors point at the Relation objects inside `sorted`; moving the
-    // vector into Joiner transfers its heap buffer, so element addresses
-    // (and thus the cursors) stay valid.
-    std::vector<std::unique_ptr<TrieIterator>> cursors;
-    cursors.reserve(sorted.size());
-    for (const Relation& rel : sorted) {
-      cursors.push_back(std::make_unique<TrieIterator>(&rel));
-    }
     prepared.joiner = std::make_unique<Joiner<TrieIterator>>(
-        std::move(sorted), std::move(trees), std::move(cursors),
-        std::move(iters_per_depth), resolved, var_order.size(), options);
+        std::move(trees), std::move(tries), std::move(iters_per_depth),
+        resolved, var_order.size(), options);
   }
   return prepared;
 }

@@ -3,7 +3,9 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <utility>
+#include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "common/logging.h"
@@ -12,68 +14,39 @@
 
 namespace ptp {
 
-/// One past the last row of the run of rows in [pos, hi) that hold the same
-/// value as row `pos` in the column `col` points into (rows `stride` values
-/// apart). The column must be ascending over [pos, hi). Gallops pos+1,
-/// pos+2, pos+4, ... until a probe leaves the run, then binary-searches the
-/// last bracket: O(log run length), and one probe for a run of one row —
-/// the common case at a set relation's last trie level.
-inline size_t KeyBlockEnd(const Value* col, size_t stride, size_t pos,
-                          size_t hi) {
-  const Value key = col[pos * stride];
-  size_t bound = 1;
-  while (pos + bound < hi && col[(pos + bound) * stride] <= key) {
-    bound <<= 1;
-  }
-  // Rows up to pos + bound/2 hold the key; the run ends in
-  // (pos + bound/2, min(pos + bound, hi)].
-  size_t lo = pos + bound / 2 + 1;
-  size_t end = std::min(pos + bound, hi);
-  while (lo < end) {
-    const size_t mid = lo + (end - lo) / 2;
-    if (col[mid * stride] <= key) {
-      lo = mid + 1;
-    } else {
-      end = mid;
-    }
-  }
-  return lo;
-}
-
 /// Presents a lexicographically sorted relation as a trie, implementing the
-/// LFTJ iterator API (Veldhuizen '14) over a flat array instead of a B-tree:
+/// LFTJ iterator API (Veldhuizen '14) over flat arrays instead of a B-tree:
 ///
 ///   Open()  — descend to the first key of the next attribute level
 ///   Up()    — return to the parent level
 ///   Next()  — advance to the next distinct key at this level
-///   Seek(v) — least key >= v at this level (binary search, O(log n);
+///   Seek(v) — least key >= v at this level (galloping search, O(log n);
 ///             the paper's Sec. 2.2 trade-off vs. LogicBlox's O(1) B-tree)
 ///   Key() / AtEnd()
 ///
-/// A level's keys are the distinct values of column `depth` among the rows
-/// that share the current prefix; those rows are a contiguous sub-array, so
-/// state per level is just a [pos, hi) range plus the current key block.
+/// The constructor copies the sorted rows into CSR levels, in two passes
+/// over the rows (count, then fill). Level d holds one key per distinct
+/// (d+1)-column prefix — the distinct values of column d under each
+/// distinct d-column prefix, in row order — and, above the leaf, where each
+/// key's children start in level d+1. The leaf level drops duplicate rows.
+/// The iterator reads only the levels, so the relation may be freed once
+/// the iterator exists. A level's state is a [pos, end) range of its keys:
+/// Open() reads the child range, Next() is ++pos, and Seek() gallops over
+/// distinct keys.
 ///
 /// The per-key operations are defined here, in the header, so the join
 /// driver (which names this `final` type) inlines them.
 class TrieIterator final : public TrieCursor {
  public:
-  /// `rel` must outlive the iterator, be sorted with SortLex(), and stay
-  /// unmodified while the iterator is in use.
-  explicit TrieIterator(const Relation* rel)
-      : rel_(rel),
-        data_(rel->data().data()),
-        arity_(rel->arity()),
-        num_rows_(rel->NumTuples()),
-        levels_(rel->arity()) {
-    PTP_DCHECK(rel_->IsSortedLex());
-  }
+  /// `rel` must be sorted with SortLex(), have fewer than 2^32 rows, and be
+  /// unmodified while the constructor runs; it is not used afterwards.
+  explicit TrieIterator(const Relation* rel);
 
   /// Current level; -1 before the first Open().
   int depth() const override { return depth_; }
 
   /// True if positioned past the last key of the current level.
-  bool AtEnd() const override { return Top().at_end; }
+  bool AtEnd() const override { return Top().pos == Top().end; }
 
   /// Current key; requires !AtEnd() and depth() >= 0.
   Value Key() const override {
@@ -84,22 +57,23 @@ class TrieIterator final : public TrieCursor {
   /// Descends to the first key one level deeper. Requires !AtEnd() (or
   /// depth() == -1 and a nonempty relation).
   void Open() override {
+    PTP_CHECK_LT(static_cast<size_t>(depth_ + 1), levels_.size());
     size_t lo = 0;
-    size_t hi = num_rows_;
+    size_t hi = levels_[0].size;
     if (depth_ >= 0) {
       PTP_DCHECK(!AtEnd());
-      lo = Top().pos;
-      hi = Top().block_end;
+      const uint32_t* child = levels_[static_cast<size_t>(depth_)].child;
+      lo = child[Top().pos];
+      hi = child[Top().pos + 1];
     }
     PTP_DCHECK(lo < hi);
-    PTP_CHECK_LT(static_cast<size_t>(depth_ + 1), arity_);
     ++num_opens_;
     ++depth_;
-    Level& level = Top();
-    level.hi = hi;
-    level.pos = lo;
-    level.at_end = false;
-    FindBlockEnd(&level);
+    Frame& frame = Top();
+    frame.keys = levels_[static_cast<size_t>(depth_)].keys;
+    frame.pos = lo;
+    frame.end = hi;
+    frame.key = frame.keys[lo];
   }
 
   /// Ascends one level. Requires depth() >= 0.
@@ -111,57 +85,49 @@ class TrieIterator final : public TrieCursor {
 
   /// Advances to the next distinct key at this level.
   void Next() override {
-    Level& level = Top();
-    PTP_DCHECK(!level.at_end);
+    Frame& frame = Top();
+    PTP_DCHECK(frame.pos < frame.end);
     ++num_nexts_;
-    level.pos = level.block_end;
-    if (level.pos >= level.hi) {
-      level.at_end = true;
-      return;
-    }
-    FindBlockEnd(&level);
+    if (++frame.pos < frame.end) frame.key = frame.keys[frame.pos];
   }
 
   /// Positions at the least key >= v at this level, or AtEnd().
   void Seek(Value v) override {
-    Level& level = Top();
-    PTP_DCHECK(!level.at_end);
+    Frame& frame = Top();
+    PTP_DCHECK(frame.pos < frame.end);
     ++num_seeks_;
-    if (level.key >= v) return;  // already positioned
-    // The target is the first row with column value >= v within
-    // [block_end, hi) — rows before block_end share the current (smaller)
-    // key. LFTJ seeks advance monotonically and the leapfrog intersection
-    // usually lands close by, so gallop from the current position first:
-    // probe block_end + 1, +2, +4, ... to bracket the target in
-    // O(log distance) steps, then binary-search only inside that bracket.
-    const Value* col = data_ + depth_;
-    const size_t base = level.block_end;
+    if (frame.key >= v) return;  // already positioned
+    // The target is the first key >= v in (pos, end). LFTJ seeks advance
+    // monotonically and the leapfrog intersection usually lands close by,
+    // so gallop from the current position first: probe base + 1, +2, +4,
+    // ... to bracket the target in O(log distance) steps, then
+    // binary-search only inside that bracket.
+    const Value* keys = frame.keys;
+    const size_t base = frame.pos + 1;
     size_t bound = 1;
-    while (base + bound < level.hi && col[(base + bound) * arity_] < v) {
+    while (base + bound < frame.end && keys[base + bound] < v) {
       bound <<= 1;
       ++num_gallop_steps_;
     }
-    // Rows at or before base + bound/2 are known < v (bound/2 was the last
+    // Keys at or before base + bound/2 are known < v (bound/2 was the last
     // successful probe; bound/2 == 0 brackets [base, base + 1)).
     size_t lo = base + bound / 2;
-    size_t hi = std::min(base + bound, level.hi);
+    size_t hi = std::min(base + bound, frame.end);
     while (lo < hi) {
       const size_t mid = lo + (hi - lo) / 2;
-      if (col[mid * arity_] < v) {
+      if (keys[mid] < v) {
         lo = mid + 1;
       } else {
         hi = mid;
       }
     }
-    level.pos = lo;
-    if (level.pos >= level.hi) {
-      level.at_end = true;
-      return;
-    }
-    FindBlockEnd(&level);
+    frame.pos = lo;
+    if (lo < frame.end) frame.key = keys[lo];
   }
 
-  bool EmptyRelation() const override { return num_rows_ == 0; }
+  bool EmptyRelation() const override {
+    return levels_.empty() || levels_[0].size == 0;
+  }
 
   /// Number of Seek() calls performed (cost-model instrumentation).
   size_t num_seeks() const override { return num_seeks_; }
@@ -169,45 +135,44 @@ class TrieIterator final : public TrieCursor {
   size_t num_nexts() const override { return num_nexts_; }
   size_t num_opens() const override { return num_opens_; }
   size_t num_ups() const override { return num_ups_; }
-  /// Galloping probe steps spent bracketing Seek() targets before the
-  /// bounded binary search. Block-end gallops are not counted.
+  /// Galloping probe steps, in distinct keys, spent bracketing Seek()
+  /// targets before the bounded binary search.
   size_t num_gallop_steps() const override { return num_gallop_steps_; }
 
-  const Relation& relation() const { return *rel_; }
-
-  /// Row range [first, last) of the current key block in relation().
-  /// Requires !AtEnd() and depth() >= 0.
-  std::pair<size_t, size_t> KeyBlock() const {
-    PTP_DCHECK(depth_ >= 0 && !AtEnd());
-    return {Top().pos, Top().block_end};
+  /// Level d's keys, in trie order.
+  std::span<const Value> LevelKeys(size_t d) const {
+    return {levels_[d].keys, levels_[d].size};
   }
+  /// Level d's child starts into level d+1 (d below the leaf): key i's
+  /// children are [starts[i], starts[i + 1]); one entry more than keys.
+  std::span<const uint32_t> LevelChildStarts(size_t d) const {
+    PTP_DCHECK(d + 1 < levels_.size());
+    return {levels_[d].child, levels_[d].size + 1};
+  }
+  /// Bytes the levels occupy (charged as MemCategory::kTrie).
+  size_t bytes() const { return bytes_; }
 
  private:
   struct Level {
-    size_t hi;         // one past the last row with the current prefix
-    size_t pos;        // first row of the current key block
-    size_t block_end;  // one past the last row of the current key block
-    Value key;         // column `depth` of row `pos`; valid unless at_end
-    bool at_end;
+    const Value* keys;      // `size` keys (plus one scratch slot)
+    const uint32_t* child;  // size + 1 child starts; null at the leaf
+    size_t size;
+  };
+  struct Frame {
+    const Value* keys;  // the level's key array
+    size_t pos;         // current key
+    size_t end;         // one past the last key under the parent's key
+    Value key;          // keys[pos]; valid unless pos == end
   };
 
-  Level& Top() { return levels_[static_cast<size_t>(depth_)]; }
-  const Level& Top() const { return levels_[static_cast<size_t>(depth_)]; }
+  Frame& Top() { return frames_[static_cast<size_t>(depth_)]; }
+  const Frame& Top() const { return frames_[static_cast<size_t>(depth_)]; }
 
-  /// Loads the key at `level->pos` and finds its block end. The rows in
-  /// [pos, hi) share the prefix above this level, so this level's column is
-  /// ascending there and the block is the run of rows equal to the key.
-  void FindBlockEnd(Level* level) {
-    const Value* col = data_ + depth_;
-    level->key = col[level->pos * arity_];
-    level->block_end = KeyBlockEnd(col, arity_, level->pos, level->hi);
-  }
-
-  const Relation* rel_;
-  const Value* data_;  // rel_'s row-major values
-  size_t arity_;
-  size_t num_rows_;
-  std::vector<Level> levels_;  // one slot per trie level, sized once
+  std::unique_ptr<Value[]> keys_;      // every level's keys, level by level
+  std::unique_ptr<uint32_t[]> child_;  // every inner level's child starts
+  size_t bytes_ = 0;
+  std::vector<Level> levels_;   // views into keys_ / child_, one per column
+  std::vector<Frame> frames_;   // one slot per trie level, sized once
   int depth_ = -1;
   size_t num_seeks_ = 0;
   size_t num_nexts_ = 0;

@@ -463,192 +463,192 @@ const GoldenStrategy kGoldenStrategies[] = {
       0x357d76fa0271ca73ULL, 0xa593f6a394f05099ULL,
       0x32e1567b11205b1cULL}},
     {1, "RS_TJ",
-     {0x7eea966630cf807fULL, 0x7eea966630cf807fULL,
-      0x68beb95562e67f68ULL, 0x7eea966630cf807fULL,
+     {0xc6cbea84043a8382ULL, 0xc6cbea84043a8382ULL,
+      0xd0b79f4977a07ab2ULL, 0xc6cbea84043a8382ULL,
       0x32e1567b11205b1cULL}},
     {1, "BR_HJ",
      {0xfec375ac7fe2b4daULL, 0xfec375ac7fe2b4daULL,
       0xfec375ac7fe2b4daULL, 0xfec375ac7fe2b4daULL,
       0x8870ad695d7086fcULL}},
     {1, "BR_TJ",
-     {0xe50afeecc7d2993ULL, 0xe1c2ad6be6bf1324ULL,
-      0xe50afeecc7d2993ULL, 0xe50afeecc7d2993ULL,
+     {0x86a7961d4f0961f3ULL, 0x7c1e8d009b004f45ULL,
+      0x86a7961d4f0961f3ULL, 0x86a7961d4f0961f3ULL,
       0x8870ad695d7086fcULL}},
     {1, "HC_HJ",
      {0xd783f4a14a45c66cULL, 0xd783f4a14a45c66cULL,
       0xd783f4a14a45c66cULL, 0xaf1ddcbc5535ceabULL,
       0x7db4bcf6d867dd5bULL}},
     {1, "HC_TJ",
-     {0xa05058293f3e29a2ULL, 0x8f90c32f21521450ULL,
-      0xa05058293f3e29a2ULL, 0xc5e4c27f11f5e7d3ULL,
+     {0x6ce5f46c992dac5ULL, 0xb271b73cda13639bULL,
+      0x6ce5f46c992dac5ULL, 0xbe58c0b8b9ac60d2ULL,
       0x7db4bcf6d867dd5bULL}},
     {2, "RS_HJ",
      {0xd481008f8ca1d953ULL, 0xd481008f8ca1d953ULL,
       0x357d76fa0271ca73ULL, 0xd481008f8ca1d953ULL,
       0x32e1567b11205b1cULL}},
     {2, "RS_TJ",
-     {0x1f6b62b6f2a4c4d7ULL, 0x1f6b62b6f2a4c4d7ULL,
-      0xc4f081e612b99940ULL, 0x1f6b62b6f2a4c4d7ULL,
+     {0xdeca2552a4ae8eadULL, 0xdeca2552a4ae8eadULL,
+      0x6bddd5486ac76118ULL, 0xdeca2552a4ae8eadULL,
       0x32e1567b11205b1cULL}},
     {2, "BR_HJ",
      {0x40668463692838f8ULL, 0x40668463692838f8ULL,
       0x40668463692838f8ULL, 0x40668463692838f8ULL,
       0x8870ad695d7086fcULL}},
     {2, "BR_TJ",
-     {0x8dd31cbb00abfa1bULL, 0xa8a815a59318a79ULL,
-      0x8dd31cbb00abfa1bULL, 0x8dd31cbb00abfa1bULL,
+     {0x5203b637b50db424ULL, 0x80927c2ea91330a1ULL,
+      0x5203b637b50db424ULL, 0x5203b637b50db424ULL,
       0x8870ad695d7086fcULL}},
     {2, "HC_HJ",
      {0x24b61c21c3cae647ULL, 0x24b61c21c3cae647ULL,
       0x24b61c21c3cae647ULL, 0x124a9fed62f642cdULL,
       0x7db4bcf6d867dd5bULL}},
     {2, "HC_TJ",
-     {0x3bdb25bb6b8478acULL, 0xda44b8e9a6ca209fULL,
-      0x3bdb25bb6b8478acULL, 0x742b89ab75548b1ULL,
+     {0x3b1480effdf99926ULL, 0x8610332bb57f0badULL,
+      0x3b1480effdf99926ULL, 0x2b53fa52ecc274c6ULL,
       0x7db4bcf6d867dd5bULL}},
     {3, "RS_HJ",
      {0xf29822319bcd94d7ULL, 0xf29822319bcd94d7ULL,
       0xb1d96fc2f9588a40ULL, 0xf29822319bcd94d7ULL,
       0x8c885835f9c106b9ULL}},
     {3, "RS_TJ",
-     {0xbd699fc0e5929f3cULL, 0xbd699fc0e5929f3cULL,
-      0x6d66474f28529f55ULL, 0xbd699fc0e5929f3cULL,
+     {0xc2fb28013a838a9aULL, 0xc2fb28013a838a9aULL,
+      0xd66073ef830ee8b1ULL, 0xc2fb28013a838a9aULL,
       0x8c885835f9c106b9ULL}},
     {3, "BR_HJ",
      {0x1331e72581c720ecULL, 0x1331e72581c720ecULL,
       0x1331e72581c720ecULL, 0x1331e72581c720ecULL,
       0x683c5aba7efa1eb5ULL}},
     {3, "BR_TJ",
-     {0x8303bb2d4f581347ULL, 0xc6cff3b5a8574660ULL,
-      0x8303bb2d4f581347ULL, 0x8303bb2d4f581347ULL,
+     {0xfdb818aa7c8eab91ULL, 0xff41f4e67d666143ULL,
+      0xfdb818aa7c8eab91ULL, 0xfdb818aa7c8eab91ULL,
       0x683c5aba7efa1eb5ULL}},
     {3, "HC_HJ",
      {0x20f281dde7588046ULL, 0x20f281dde7588046ULL,
       0x20f281dde7588046ULL, 0x3e41a5e435dafb9dULL,
       0xb84a831cb3a707f8ULL}},
     {3, "HC_TJ",
-     {0x15e6d6fd33c1a360ULL, 0x14a6108b2bbaed6bULL,
-      0x15e6d6fd33c1a360ULL, 0xb3dde87f417be270ULL,
+     {0xe01a40d489054e9dULL, 0xbc9ce81861fb6fa3ULL,
+      0xe01a40d489054e9dULL, 0xceafa4e2f198a644ULL,
       0xb84a831cb3a707f8ULL}},
     {4, "RS_HJ",
      {0xcb10530b6ddb4085ULL, 0xcb10530b6ddb4085ULL,
       0x28f4c0259bae70f6ULL, 0xcb10530b6ddb4085ULL,
       0xbfd26067f54aaa8aULL}},
     {4, "RS_TJ",
-     {0x853fc6af71bbc823ULL, 0x853fc6af71bbc823ULL,
-      0x3dad2386a77ead05ULL, 0x853fc6af71bbc823ULL,
+     {0x27005517885ff47eULL, 0x27005517885ff47eULL,
+      0x25bc7b9acd74768bULL, 0x27005517885ff47eULL,
       0xbfd26067f54aaa8aULL}},
     {4, "BR_HJ",
      {0xc07073d6f51e69c9ULL, 0xc07073d6f51e69c9ULL,
       0xc07073d6f51e69c9ULL, 0xc07073d6f51e69c9ULL,
       0xc263113683e9680eULL}},
     {4, "BR_TJ",
-     {0x90e215df539b1a7aULL, 0xf984806ffc662448ULL,
-      0x90e215df539b1a7aULL, 0x90e215df539b1a7aULL,
+     {0xa2c02337a3e78ba5ULL, 0x3d47cca672786bdcULL,
+      0xa2c02337a3e78ba5ULL, 0xa2c02337a3e78ba5ULL,
       0xc263113683e9680eULL}},
     {4, "HC_HJ",
      {0xce54f3843d6d0038ULL, 0xce54f3843d6d0038ULL,
       0xce54f3843d6d0038ULL, 0x29915421393de6c6ULL,
       0x94221f6ccc726c35ULL}},
     {4, "HC_TJ",
-     {0x7bd5a0966acb9563ULL, 0x9cba9eb449c86e26ULL,
-      0x7bd5a0966acb9563ULL, 0xe53709e98b20ba9eULL,
+     {0xa1f883bf3c42e00ULL, 0x3feeb7f099eaaadbULL,
+      0xa1f883bf3c42e00ULL, 0x4d79b40075cd72e6ULL,
       0x94221f6ccc726c35ULL}},
     {5, "RS_HJ",
      {0x58ca08a6b41805dfULL, 0x58ca08a6b41805dfULL,
       0x357d76fa0271ca73ULL, 0x58ca08a6b41805dfULL,
       0x32e1567b11205b1cULL}},
     {5, "RS_TJ",
-     {0xd0cc1053a8f275aeULL, 0xd0cc1053a8f275aeULL,
-      0xf56cf4d4d0141382ULL, 0xd0cc1053a8f275aeULL,
+     {0x877e173b2a797087ULL, 0x877e173b2a797087ULL,
+      0xdefc7f95db73f5e6ULL, 0x877e173b2a797087ULL,
       0x32e1567b11205b1cULL}},
     {5, "BR_HJ",
      {0x5952e0e566246469ULL, 0x5952e0e566246469ULL,
       0x5952e0e566246469ULL, 0x5952e0e566246469ULL,
       0x8870ad695d7086fcULL}},
     {5, "BR_TJ",
-     {0x467281dfb867ffdULL, 0x4ef23c9965249a2eULL,
-      0x467281dfb867ffdULL, 0x467281dfb867ffdULL,
+     {0xd9e30e7198a27f4cULL, 0x13c90346ba70f65bULL,
+      0xd9e30e7198a27f4cULL, 0xd9e30e7198a27f4cULL,
       0x8870ad695d7086fcULL}},
     {5, "HC_HJ",
      {0xffa68aca70682b0fULL, 0xffa68aca70682b0fULL,
       0xffa68aca70682b0fULL, 0x86fa4f1d856ad2acULL,
       0x7db4bcf6d867dd5bULL}},
     {5, "HC_TJ",
-     {0xa54b04ad422333bULL, 0xd17df81b8a6a7d4ULL,
-      0xa54b04ad422333bULL, 0xdb85a4fabd058b0aULL,
+     {0x27481794edab392aULL, 0xea3e88e2ac963ae2ULL,
+      0x27481794edab392aULL, 0xde80b35eb263f199ULL,
       0x7db4bcf6d867dd5bULL}},
     {6, "RS_HJ",
      {0x5e804f5e104be274ULL, 0x5e804f5e104be274ULL,
       0x357d76fa0271ca73ULL, 0x5e804f5e104be274ULL,
       0x32e1567b11205b1cULL}},
     {6, "RS_TJ",
-     {0x9a19e638a43213fbULL, 0x9a19e638a43213fbULL,
-      0x829d95a1fbe26b9bULL, 0x9a19e638a43213fbULL,
+     {0xfdfb69e330e3931eULL, 0xfdfb69e330e3931eULL,
+      0x7e7cc3a6f5624cedULL, 0xfdfb69e330e3931eULL,
       0x32e1567b11205b1cULL}},
     {6, "BR_HJ",
      {0x269fa871603b02d7ULL, 0x269fa871603b02d7ULL,
       0x269fa871603b02d7ULL, 0x269fa871603b02d7ULL,
       0x8870ad695d7086fcULL}},
     {6, "BR_TJ",
-     {0xd1660ed83f5c8e1fULL, 0x7a22bad8d17bee3fULL,
-      0xd1660ed83f5c8e1fULL, 0xd1660ed83f5c8e1fULL,
+     {0xb5ffb251b38edf46ULL, 0xa84bae32fabc6670ULL,
+      0xb5ffb251b38edf46ULL, 0xb5ffb251b38edf46ULL,
       0x8870ad695d7086fcULL}},
     {6, "HC_HJ",
      {0x280090df6cccaa31ULL, 0x280090df6cccaa31ULL,
       0x280090df6cccaa31ULL, 0x5583feeee983ea26ULL,
       0x7db4bcf6d867dd5bULL}},
     {6, "HC_TJ",
-     {0xd7bf5366e92a1e30ULL, 0xe586bb8d1cc0d987ULL,
-      0xd7bf5366e92a1e30ULL, 0x60ff165f217c964cULL,
+     {0xda125db7a37d2a06ULL, 0x417d8eff94b870a9ULL,
+      0xda125db7a37d2a06ULL, 0xc84b2f58502c1c98ULL,
       0x7db4bcf6d867dd5bULL}},
     {7, "RS_HJ",
      {0xe2ef2cbf29f197bdULL, 0xe2ef2cbf29f197bdULL,
       0x7e3b211076a2365aULL, 0xe2ef2cbf29f197bdULL,
       0xd8e8ba058b1f0b98ULL}},
     {7, "RS_TJ",
-     {0xa41b779be0c81a8aULL, 0xa41b779be0c81a8aULL,
-      0x148d40e8eaa722edULL, 0xa41b779be0c81a8aULL,
+     {0x4c86258dd0419c57ULL, 0x4c86258dd0419c57ULL,
+      0xf56822242f9b1edULL, 0x4c86258dd0419c57ULL,
       0xd8e8ba058b1f0b98ULL}},
     {7, "BR_HJ",
      {0xdc7351a78cd92a46ULL, 0xdc7351a78cd92a46ULL,
       0xdc7351a78cd92a46ULL, 0xdc7351a78cd92a46ULL,
       0x2fdf7bf494c99b69ULL}},
     {7, "BR_TJ",
-     {0x2b227a8216a7eca5ULL, 0xb567be3dccfb6da3ULL,
-      0x2b227a8216a7eca5ULL, 0x2b227a8216a7eca5ULL,
+     {0xb39f4732a2cbbb1fULL, 0x4b7edcc236be8547ULL,
+      0xb39f4732a2cbbb1fULL, 0xb39f4732a2cbbb1fULL,
       0x2fdf7bf494c99b69ULL}},
     {7, "HC_HJ",
      {0xab4dc37c9e6839a1ULL, 0xab4dc37c9e6839a1ULL,
       0xab4dc37c9e6839a1ULL, 0x7edab997289390fcULL,
       0x126a7fc9ce972c49ULL}},
     {7, "HC_TJ",
-     {0x29ea90184c47a240ULL, 0x415cec7d9465da55ULL,
-      0x29ea90184c47a240ULL, 0x5b3ba12d43680777ULL,
+     {0xdd58e1da1903056fULL, 0xb46c2d782b9f1486ULL,
+      0xdd58e1da1903056fULL, 0xdca0577f37d81078ULL,
       0x126a7fc9ce972c49ULL}},
     {8, "RS_HJ",
      {0xfc987ba78a3d12e0ULL, 0xfc987ba78a3d12e0ULL,
       0x51515d04f19568e1ULL, 0xfc987ba78a3d12e0ULL,
       0xbe39d6ac482d2b58ULL}},
     {8, "RS_TJ",
-     {0x3483d6f395d17cULL, 0x3483d6f395d17cULL,
-      0x7fdee8c0caa82fe2ULL, 0x3483d6f395d17cULL,
+     {0xead70b8e27ad5822ULL, 0xead70b8e27ad5822ULL,
+      0xf6ae27508496c4bfULL, 0xead70b8e27ad5822ULL,
       0xbe39d6ac482d2b58ULL}},
     {8, "BR_HJ",
      {0x4a4b6b693c8f9050ULL, 0x4a4b6b693c8f9050ULL,
       0x4a4b6b693c8f9050ULL, 0x4a4b6b693c8f9050ULL,
       0x2e4755416ff0248bULL}},
     {8, "BR_TJ",
-     {0x8e6640f739cdb9afULL, 0xaee08ca6ec2b318fULL,
-      0x8e6640f739cdb9afULL, 0x8e6640f739cdb9afULL,
+     {0xd5a94c8ccaca1d3aULL, 0x4bc602e2ac8c33bbULL,
+      0xd5a94c8ccaca1d3aULL, 0xd5a94c8ccaca1d3aULL,
       0x2e4755416ff0248bULL}},
     {8, "HC_HJ",
      {0x4a8ff4b3b99add55ULL, 0x4a8ff4b3b99add55ULL,
       0x4a8ff4b3b99add55ULL, 0x2db9633a0e53ca3dULL,
       0x416b6dd263e11943ULL}},
     {8, "HC_TJ",
-     {0x878e799bf4b53393ULL, 0xfe2aae685e54bd27ULL,
-      0x878e799bf4b53393ULL, 0xd29e02036ba96705ULL,
+     {0x8792df245a5ded04ULL, 0xe797deb64ec7e17cULL,
+      0x8792df245a5ded04ULL, 0xf3b3f9d0f4737c39ULL,
       0x416b6dd263e11943ULL}},
 };
 
@@ -800,50 +800,50 @@ const GoldenExchange kGoldenExchanges[] = {
      {0x3b396590304e80e2ULL, 0xa8b4ce286244ef7eULL,
       0xbedb278c38c3f6c5ULL, 0x9713c52273d313efULL}},
     {1, "RS_TJ",
-     {0x40a93f76d42786fdULL, 0xd69ad624040d1fc5ULL,
-      0x6ecd2fbd1421e867ULL, 0x7f14a0cf10535528ULL}},
+     {0xe43d8b6d567f1a7fULL, 0x61d33a81b3e066eULL,
+      0xe91c55525d46460bULL, 0x83bb7ab3b44eaf4eULL}},
     {2, "RS_HJ",
      {0x207f12c2bcc614f9ULL, 0x982c12a56c9447f8ULL,
       0xf8cf64aa41d1b8a8ULL, 0x6760a8e4d4407f70ULL}},
     {2, "RS_TJ",
-     {0x1a9f843328a8b81aULL, 0x7ed6d0e1d07d1d09ULL,
-      0x41398394c6b0a037ULL, 0x77683fcc1023f624ULL}},
+     {0x6144e0b93e621f23ULL, 0xac2e52e3dc379f69ULL,
+      0xbb3075b3c49e475ULL, 0xc8695b869b2ee5d2ULL}},
     {3, "RS_HJ",
      {0x9896eb81057a7e6fULL, 0xaa8575c524c36ff2ULL,
       0x8e37f3dff987b152ULL, 0xd7a83be3813c5d55ULL}},
     {3, "RS_TJ",
-     {0x23ff5627737b54a2ULL, 0xeab3be6115ac80f2ULL,
-      0x5b473c2d063bf5f9ULL, 0x2f0c06ae75bda968ULL}},
+     {0x819196d6c38af715ULL, 0x419f7cc40f79a5d5ULL,
+      0x2dd769ba6310cbe5ULL, 0x3e674fd617bdee13ULL}},
     {4, "RS_HJ",
      {0x2c0d655c12a58106ULL, 0xd2aa4974f5c3a877ULL,
       0x2b10c7c4d28b521ULL, 0x9074229f07982cbdULL}},
     {4, "RS_TJ",
-     {0x6b0c992d1fc9079cULL, 0x48dae10a5cb4eb61ULL,
-      0xae3ae2e8067150f4ULL, 0xebf8551f8b2e4126ULL}},
+     {0x9867993ec56d055dULL, 0xd9c27bb3bc386342ULL,
+      0xf4113b05a6d59566ULL, 0x687f475f437e9c4ULL}},
     {5, "RS_HJ",
      {0x3c96e3c0b60250ebULL, 0x8b6bfdcc51699481ULL,
       0xe4d1082558773727ULL, 0xd54e9e2a856b8f47ULL}},
     {5, "RS_TJ",
-     {0x5868b31ab9e2e3d2ULL, 0x2b3506a750626d92ULL,
-      0xd6f06056cf5a78fbULL, 0x94f8eb5aa330bdbeULL}},
+     {0xfb3f748b41444053ULL, 0x3d64370e773a4320ULL,
+      0x1965fe18b5982a3fULL, 0x68314f3209de0dd2ULL}},
     {6, "RS_HJ",
      {0x74bc17861d99b630ULL, 0x3505eabfc0682a7bULL,
       0xd6af24b9c386acd6ULL, 0xd603de3f69db9231ULL}},
     {6, "RS_TJ",
-     {0x30819dab16aff4f4ULL, 0xd218f8aec0105a50ULL,
-      0x70360f5300b67400ULL, 0x5fe712a2a3ceda14ULL}},
+     {0x4d22759a988736e4ULL, 0x77e8ec01f312ef2eULL,
+      0x33b1d0f59e0e5b9aULL, 0xf8c381bd138788bbULL}},
     {7, "RS_HJ",
      {0xe8de10cf11d22527ULL, 0x26128ee662f93c31ULL,
       0xb1f91e545eb2cbc1ULL, 0xf69a7a581a534a93ULL}},
     {7, "RS_TJ",
-     {0x1d6f611c4fda3436ULL, 0xc473bb1f9fb8f82cULL,
-      0x5f0908a2c44517bULL, 0x7c73ff405a39d2daULL}},
+     {0x351333eda248fb08ULL, 0x4b23a4dc792b0914ULL,
+      0x5e026b0e73fb7f15ULL, 0x73b6bca31dbd372fULL}},
     {8, "RS_HJ",
      {0x97fd16d6c79f1b16ULL, 0x1898e362a2a1eef1ULL,
       0x2d2e442b339f9359ULL, 0x972e9348478b9a43ULL}},
     {8, "RS_TJ",
-     {0x16b6211956cb7c6aULL, 0xf0d7df45f1182ec3ULL,
-      0x15244cf5559afde0ULL, 0xb3e2c3c42c02bc6eULL}},
+     {0xd94b1aef6f0d05fcULL, 0x500ab706d2cf5396ULL,
+      0xf17a9eed486ce676ULL, 0xb69740a96391ff12ULL}},
 };
 
 TEST(ExchangeGolden, FilteredSkewAwareAndProfiledExchangesMatchGolden) {

@@ -263,7 +263,7 @@ constexpr size_t kDone = std::numeric_limits<size_t>::max();
 
 const GoldenDirect kGoldenDirect[] = {
     {1, kArr, 0x579133ae25f0cdb1ULL, 3315,
-     "tj.gallop_steps=33956 tj.joins=1 tj.keys.x=367 tj.keys.y=2416 "
+     "tj.gallop_steps=27897 tj.joins=1 tj.keys.x=367 tj.keys.y=2416 "
      "tj.keys.z=3315 tj.nexts=6098 tj.nexts.x=367 tj.nexts.y=2416 "
      "tj.nexts.z=3315 tj.opens=5568 tj.output_tuples=3315 tj.seeks=24997 "
      "tj.seeks.x=383 tj.seeks.y=2486 tj.seeks.z=22128 tj.ups=5568",
@@ -275,7 +275,7 @@ const GoldenDirect kGoldenDirect[] = {
      "tj.seeks.x=383 tj.seeks.y=2486 tj.seeks.z=22128 tj.ups=5568",
      kDone, 1609},
     {2, kArr, 0xdb03f9bd0f4ff51cULL, 3488,
-     "tj.gallop_steps=249067 tj.joins=1 tj.keys.p=3488 tj.keys.x=367 "
+     "tj.gallop_steps=200283 tj.joins=1 tj.keys.p=3488 tj.keys.x=367 "
      "tj.keys.y=2416 tj.keys.z=3499 tj.nexts=9770 tj.nexts.p=3488 "
      "tj.nexts.x=367 tj.nexts.y=2416 tj.nexts.z=3499 tj.opens=18849 "
      "tj.output_tuples=3488 tj.seeks=113874 tj.seeks.p=70521 tj.seeks.x=757 "
@@ -289,7 +289,7 @@ const GoldenDirect kGoldenDirect[] = {
      "tj.seeks.y=4935 tj.seeks.z=37661 tj.ups=18849",
      kDone, 1723},
     {3, kArr, 0xcb524441d57d14ebULL, 583,
-     "tj.gallop_steps=3552 tj.joins=1 tj.keys.a1=1 tj.keys.a2=41 "
+     "tj.gallop_steps=3312 tj.joins=1 tj.keys.a1=1 tj.keys.a2=41 "
      "tj.keys.cast=583 tj.keys.film=41 tj.keys.p=583 tj.keys.p1=41 "
      "tj.keys.p2=22 tj.nexts=1312 tj.nexts.a1=1 tj.nexts.a2=41 "
      "tj.nexts.cast=583 tj.nexts.film=41 tj.nexts.p=583 tj.nexts.p1=41 "
@@ -307,7 +307,7 @@ const GoldenDirect kGoldenDirect[] = {
      "tj.seeks.p=574 tj.seeks.p1=40 tj.seeks.p2=553 tj.ups=918",
      kDone, 332},
     {4, kArr, 0xd8c5f8fc4920ed07ULL, 7847,
-     "tj.gallop_steps=1308064 tj.joins=1 tj.keys.a1=218 tj.keys.a2=8776 "
+     "tj.gallop_steps=1036710 tj.joins=1 tj.keys.a1=218 tj.keys.a2=8776 "
      "tj.keys.f1=880 tj.keys.f2=79941 tj.keys.p1=880 tj.keys.p2=8776 "
      "tj.keys.p3=79941 tj.keys.p4=7847 tj.nexts=187259 tj.nexts.a1=218 "
      "tj.nexts.a2=8776 tj.nexts.f1=880 tj.nexts.f2=79941 tj.nexts.p1=880 "
@@ -327,7 +327,7 @@ const GoldenDirect kGoldenDirect[] = {
      "tj.seeks.p3=79517 tj.seeks.p4=185163 tj.ups=239704",
      kDone, 6252},
     {5, kArr, 0x4e7bbce1c8a27f27ULL, 53094,
-     "tj.gallop_steps=475738 tj.joins=1 tj.keys.p=53094 tj.keys.x=367 "
+     "tj.gallop_steps=376633 tj.joins=1 tj.keys.p=53094 tj.keys.x=367 "
      "tj.keys.y=2416 tj.keys.z=44017 tj.nexts=99894 tj.nexts.p=53094 "
      "tj.nexts.x=367 tj.nexts.y=2416 tj.nexts.z=44017 tj.opens=93602 "
      "tj.output_tuples=53094 tj.seeks=416776 tj.seeks.p=368866 tj.seeks.x=383 "
@@ -341,7 +341,7 @@ const GoldenDirect kGoldenDirect[] = {
      "tj.seeks.y=2486 tj.seeks.z=45041 tj.ups=93602",
      kDone, 25339},
     {6, kArr, 0xc667b9a590536eb7ULL, 16408,
-     "tj.gallop_steps=195711 tj.joins=1 tj.keys.p=16408 tj.keys.x=367 "
+     "tj.gallop_steps=152968 tj.joins=1 tj.keys.p=16408 tj.keys.x=367 "
      "tj.keys.y=2416 tj.keys.z=3499 tj.nexts=22690 tj.nexts.p=16408 "
      "tj.nexts.x=367 tj.nexts.y=2416 tj.nexts.z=3499 tj.opens=14983 "
      "tj.output_tuples=16408 tj.seeks=114036 tj.seeks.p=73132 tj.seeks.x=757 "
@@ -355,7 +355,7 @@ const GoldenDirect kGoldenDirect[] = {
      "tj.seeks.y=2486 tj.seeks.z=37661 tj.ups=14983",
      kDone, 8057},
     {7, kArr, 0xb0b3debf35eeb3a5ULL, 16,
-     "tj.gallop_steps=24 tj.joins=1 tj.keys.a=61 tj.keys.aw=1 tj.keys.h=32 "
+     "tj.gallop_steps=15 tj.joins=1 tj.keys.a=61 tj.keys.aw=1 tj.keys.h=32 "
      "tj.keys.y=61 tj.nexts=155 tj.nexts.a=61 tj.nexts.aw=1 tj.nexts.h=32 "
      "tj.nexts.y=61 tj.opens=98 tj.output_tuples=16 tj.seeks=86 tj.seeks.a=0 "
      "tj.seeks.aw=0 tj.seeks.h=86 tj.seeks.y=0 tj.ups=98",
@@ -367,7 +367,7 @@ const GoldenDirect kGoldenDirect[] = {
      "tj.seeks.aw=0 tj.seeks.h=86 tj.seeks.y=0 tj.ups=98",
      kDone, 3},
     {8, kArr, 0x22b6c2952b392b6ULL, 2207,
-     "tj.gallop_steps=120161 tj.joins=1 tj.keys.a=218 tj.keys.d=2207 "
+     "tj.gallop_steps=107115 tj.joins=1 tj.keys.a=218 tj.keys.d=2207 "
      "tj.keys.f1=4915 tj.keys.f2=3308 tj.keys.p1=880 tj.keys.p2=7782 "
      "tj.nexts=19310 tj.nexts.a=218 tj.nexts.d=2207 tj.nexts.f1=4915 "
      "tj.nexts.f2=3308 tj.nexts.p1=880 tj.nexts.p2=7782 tj.opens=34208 "
@@ -439,18 +439,18 @@ struct GoldenHCTJ {
 
 const GoldenHCTJ kGoldenHCTJ[] = {
     {1, 0xfb6e53aa1844a5eULL, 3315,
-     "tj.gallop_steps=47333 tj.joins=16 tj.keys.x=1805 tj.keys.y=6357 "
+     "tj.gallop_steps=38549 tj.joins=16 tj.keys.x=1805 tj.keys.y=6357 "
      "tj.keys.z=3315 tj.nexts=11477 tj.nexts.x=1805 tj.nexts.y=6357 "
      "tj.nexts.z=3315 tj.opens=16356 tj.output_tuples=3315 tj.seeks=31460 "
      "tj.seeks.x=2220 tj.seeks.y=9563 tj.seeks.z=19677 tj.ups=16356"},
     {2, 0xa266d5205fd891bdULL, 3488,
-     "tj.gallop_steps=383596 tj.joins=16 tj.keys.p=3488 tj.keys.x=2124 "
+     "tj.gallop_steps=307327 tj.joins=16 tj.keys.p=3488 tj.keys.x=2124 "
      "tj.keys.y=7914 tj.keys.z=6738 tj.nexts=20264 tj.nexts.p=3488 "
      "tj.nexts.x=2124 tj.nexts.y=7914 tj.nexts.z=6738 tj.opens=50376 "
      "tj.output_tuples=3488 tj.seeks=162289 tj.seeks.p=68454 tj.seeks.x=5055 "
      "tj.seeks.y=18923 tj.seeks.z=69857 tj.ups=50376"},
     {3, 0x47d247b2226eaf9cULL, 78,
-     "tj.gallop_steps=6030 tj.joins=16 tj.keys.a1=16 tj.keys.a2=155 "
+     "tj.gallop_steps=5382 tj.joins=16 tj.keys.a1=16 tj.keys.a2=155 "
      "tj.keys.cast=583 tj.keys.film=155 tj.keys.p=583 tj.keys.p1=164 "
      "tj.keys.p2=44 tj.nexts=1700 tj.nexts.a1=16 tj.nexts.a2=155 "
      "tj.nexts.cast=583 tj.nexts.film=155 tj.nexts.p=583 tj.nexts.p1=164 "
@@ -458,7 +458,7 @@ const GoldenHCTJ kGoldenHCTJ[] = {
      "tj.seeks.a2=155 tj.seeks.film=313 tj.seeks.p=568 tj.seeks.p1=452 "
      "tj.seeks.p2=1147 tj.ups=1847"},
     {4, 0x74d54167605365b1ULL, 840,
-     "tj.gallop_steps=2354789 tj.joins=16 tj.keys.a1=2388 tj.keys.a2=29303 "
+     "tj.gallop_steps=1954385 tj.joins=16 tj.keys.a1=2388 tj.keys.a2=29303 "
      "tj.keys.f1=6152 tj.keys.f2=139561 tj.keys.p1=6424 tj.keys.p2=32056 "
      "tj.keys.p3=146565 tj.keys.p4=7847 tj.nexts=370296 tj.nexts.a1=2388 "
      "tj.nexts.a2=29303 tj.nexts.f1=6152 tj.nexts.f2=139561 tj.nexts.p1=6424 "
@@ -467,24 +467,24 @@ const GoldenHCTJ kGoldenHCTJ[] = {
      "tj.seeks.a2=33202 tj.seeks.f1=6416 tj.seeks.f2=143416 tj.seeks.p1=6408 "
      "tj.seeks.p2=31828 tj.seeks.p3=145011 tj.seeks.p4=180880 tj.ups=519946"},
     {5, 0xa65275cafa57db0eULL, 53094,
-     "tj.gallop_steps=577338 tj.joins=16 tj.keys.p=53094 tj.keys.x=2332 "
+     "tj.gallop_steps=452744 tj.joins=16 tj.keys.p=53094 tj.keys.x=2332 "
      "tj.keys.y=8547 tj.keys.z=78203 tj.nexts=142176 tj.nexts.p=53094 "
      "tj.nexts.x=2332 tj.nexts.y=8547 tj.nexts.z=78203 tj.opens=178196 "
      "tj.output_tuples=53094 tj.seeks=456284 tj.seeks.p=354928 "
      "tj.seeks.x=2722 tj.seeks.y=10049 tj.seeks.z=88585 tj.ups=178196"},
     {6, 0xbcc641a97a63a626ULL, 16408,
-     "tj.gallop_steps=202595 tj.joins=16 tj.keys.p=16408 tj.keys.x=990 "
+     "tj.gallop_steps=157447 tj.joins=16 tj.keys.p=16408 tj.keys.x=990 "
      "tj.keys.y=6626 tj.keys.z=3499 tj.nexts=27523 tj.nexts.p=16408 "
      "tj.nexts.x=990 tj.nexts.y=6626 tj.nexts.z=3499 tj.opens=28904 "
      "tj.output_tuples=16408 tj.seeks=120138 tj.seeks.p=73132 tj.seeks.x=2071 "
      "tj.seeks.y=9986 tj.seeks.z=34949 tj.ups=28904"},
     {7, 0x741f622ffb8a4ad6ULL, 15,
-     "tj.gallop_steps=13 tj.joins=16 tj.keys.a=61 tj.keys.aw=15 tj.keys.h=32 "
+     "tj.gallop_steps=7 tj.joins=16 tj.keys.a=61 tj.keys.aw=15 tj.keys.h=32 "
      "tj.keys.y=61 tj.nexts=169 tj.nexts.a=61 tj.nexts.aw=15 tj.nexts.h=32 "
      "tj.nexts.y=61 tj.opens=169 tj.output_tuples=16 tj.seeks=68 "
      "tj.seeks.h=68 tj.ups=169"},
     {8, 0x5623709f7b46e048ULL, 912,
-     "tj.gallop_steps=125926 tj.joins=16 tj.keys.a=1329 tj.keys.d=2207 "
+     "tj.gallop_steps=112721 tj.joins=16 tj.keys.a=1329 tj.keys.d=2207 "
      "tj.keys.f1=4915 tj.keys.f2=3308 tj.keys.p1=2669 tj.keys.p2=7782 "
      "tj.nexts=22210 tj.nexts.a=1329 tj.nexts.d=2207 tj.nexts.f1=4915 "
      "tj.nexts.f2=3308 tj.nexts.p1=2669 tj.nexts.p2=7782 tj.opens=40038 "

@@ -1,5 +1,6 @@
 #include "tj/trie_iterator.h"
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -94,8 +95,8 @@ TEST(TrieIteratorTest, CountsSeeks) {
   EXPECT_EQ(it.num_seeks(), 2u);
 }
 
-// Key-block lengths the block-end gallop must bracket correctly: 1, 2, 2^k
-// and 2^k +- 1 rows.
+// Row-block lengths the level build must fold correctly: 1, 2, 2^k and
+// 2^k +- 1 rows.
 const size_t kBlockLengths[] = {1,  2,  3,  4,  5,  7,  8,  9,
                                 15, 16, 17, 31, 32, 33, 63, 64, 65};
 
@@ -132,50 +133,117 @@ Relation BlockLengthRelation(Rng* rng) {
 }
 
 struct BlockCoverage {
-  std::set<size_t> lengths;  // key-block lengths seen
-  size_t ends_at_hi = 0;     // blocks ending exactly at the range end
+  std::set<size_t> lengths;  // row-block lengths seen
+  size_t ends_at_hi = 0;     // blocks ending exactly at their parent's end
 };
 
-// Walks the level the iterator has just opened (rows [lo, hi)), mixing
-// Next() with short and long Seek()s, and checks every key block against
-// the prefix upper bound a full binary search over [pos, hi) finds.
-void CheckLevel(TrieIterator* it, const Relation& rel, size_t hi, Rng* rng,
-                std::vector<BlockCoverage>* coverage) {
-  const size_t depth = static_cast<size_t>(it->depth());
-  while (!it->AtEnd()) {
-    const auto [pos, end] = it->KeyBlock();
-    ASSERT_EQ(end, UpperBoundRows(rel.data(), rel.arity(), pos, hi,
-                                  rel.Row(pos), depth + 1))
-        << "depth " << depth << " pos " << pos;
-    (*coverage)[depth].lengths.insert(end - pos);
-    if (end == hi) ++(*coverage)[depth].ends_at_hi;
-    if (depth + 1 < rel.arity()) {
-      it->Open();
-      CheckLevel(it, rel, end, rng, coverage);
-      it->Up();
+// The trie levels of a sorted relation, computed from its rows alone: level
+// d has one key per block of rows sharing a (d+1)-column prefix (block ends
+// found with UpperBoundRows), and a key's children are the level-(d+1)
+// blocks inside its block.
+struct ReferenceLevels {
+  std::vector<std::vector<Value>> keys;
+  std::vector<std::vector<uint32_t>> child_starts;
+
+  ReferenceLevels(const Relation& rel, std::vector<BlockCoverage>* coverage)
+      : keys(rel.arity()), child_starts(rel.arity() - 1) {
+    const size_t arity = rel.arity();
+    const size_t n = rel.NumTuples();
+    std::vector<std::vector<size_t>> block_starts(arity);
+    for (size_t d = 0; d < arity; ++d) {
+      size_t parent_end = 0;
+      for (size_t pos = 0; pos < n;) {
+        const size_t end =
+            UpperBoundRows(rel.data(), arity, pos, n, rel.Row(pos), d + 1);
+        if (d > 0 && pos >= parent_end) {
+          parent_end =
+              UpperBoundRows(rel.data(), arity, pos, n, rel.Row(pos), d);
+        }
+        if (coverage != nullptr) {
+          (*coverage)[d].lengths.insert(end - pos);
+          if (d > 0 && end == parent_end) ++(*coverage)[d].ends_at_hi;
+          if (d == 0 && end == n) ++(*coverage)[d].ends_at_hi;
+        }
+        keys[d].push_back(rel.At(pos, d));
+        block_starts[d].push_back(pos);
+        pos = end;
+      }
     }
-    switch (rng->Uniform(3)) {
-      case 0:
-        it->Next();
-        break;
-      case 1:
-        it->Seek(it->Key() + 1);
-        break;
-      default:
-        it->Seek(it->Key() + 1 + static_cast<Value>(rng->Uniform(8)));
-        break;
+    for (size_t d = 0; d + 1 < arity; ++d) {
+      for (size_t start : block_starts[d]) {
+        const auto& below = block_starts[d + 1];
+        child_starts[d].push_back(static_cast<uint32_t>(
+            std::lower_bound(below.begin(), below.end(), start) -
+            below.begin()));
+      }
+      child_starts[d].push_back(static_cast<uint32_t>(keys[d + 1].size()));
+    }
+  }
+};
+
+void ExpectLevelsMatch(const TrieIterator& it, const ReferenceLevels& ref) {
+  for (size_t d = 0; d < ref.keys.size(); ++d) {
+    const auto keys = it.LevelKeys(d);
+    EXPECT_EQ(std::vector<Value>(keys.begin(), keys.end()), ref.keys[d])
+        << "level " << d;
+    if (d + 1 < ref.keys.size()) {
+      const auto starts = it.LevelChildStarts(d);
+      EXPECT_EQ(std::vector<uint32_t>(starts.begin(), starts.end()),
+                ref.child_starts[d])
+          << "level " << d;
     }
   }
 }
 
-TEST(TrieIteratorTest, BlockEndMatchesPrefixUpperBound) {
+// Walks the level the iterator has just opened — reference keys [lo, hi)
+// of level depth() — mixing Next() with short and long Seek()s, and checks
+// every position against the reference.
+void CheckWalk(TrieIterator* it, const ReferenceLevels& ref, size_t lo,
+               size_t hi, Rng* rng) {
+  const size_t depth = static_cast<size_t>(it->depth());
+  const std::vector<Value>& keys = ref.keys[depth];
+  size_t pos = lo;
+  while (pos < hi) {
+    ASSERT_FALSE(it->AtEnd()) << "depth " << depth << " pos " << pos;
+    ASSERT_EQ(it->Key(), keys[pos]) << "depth " << depth << " pos " << pos;
+    if (depth + 1 < ref.keys.size()) {
+      it->Open();
+      CheckWalk(it, ref, ref.child_starts[depth][pos],
+                ref.child_starts[depth][pos + 1], rng);
+      it->Up();
+    }
+    Value target = 0;
+    switch (rng->Uniform(4)) {
+      case 0:
+        it->Next();
+        ++pos;
+        continue;
+      case 1:
+        target = keys[pos];  // already positioned: stays
+        break;
+      case 2:
+        target = keys[pos] + 1 + static_cast<Value>(rng->Uniform(4));
+        break;
+      default:
+        target = keys[pos] + 1 + static_cast<Value>(rng->Uniform(64));
+        break;
+    }
+    it->Seek(target);
+    while (pos < hi && keys[pos] < target) ++pos;
+  }
+  EXPECT_TRUE(it->AtEnd()) << "depth " << depth;
+}
+
+TEST(TrieIteratorTest, LevelsMatchRowBlocks) {
   std::vector<BlockCoverage> coverage(3);
   for (uint64_t seed = 0; seed < 30; ++seed) {
     Rng rng(seed);
     Relation rel = BlockLengthRelation(&rng);
+    const ReferenceLevels ref(rel, &coverage);
     TrieIterator it(&rel);
+    ExpectLevelsMatch(it, ref);
     it.Open();
-    CheckLevel(&it, rel, rel.NumTuples(), &rng, &coverage);
+    CheckWalk(&it, ref, 0, ref.keys[0].size(), &rng);
   }
   for (size_t depth = 0; depth < coverage.size(); ++depth) {
     for (size_t len : kBlockLengths) {
@@ -183,6 +251,40 @@ TEST(TrieIteratorTest, BlockEndMatchesPrefixUpperBound) {
           << "depth " << depth << " never saw a block of " << len << " rows";
     }
     EXPECT_GT(coverage[depth].ends_at_hi, 0u) << "depth " << depth;
+  }
+}
+
+TEST(TrieIteratorTest, EmptyRelationHasEmptyLevels) {
+  Relation rel("R", Schema{"a", "b"});
+  TrieIterator it(&rel);
+  EXPECT_TRUE(it.EmptyRelation());
+  EXPECT_TRUE(it.LevelKeys(0).empty());
+  EXPECT_TRUE(it.LevelKeys(1).empty());
+  ASSERT_EQ(it.LevelChildStarts(0).size(), 1u);
+  EXPECT_EQ(it.LevelChildStarts(0)[0], 0u);
+}
+
+TEST(TrieIteratorTest, EdgeRelationsMatchReference) {
+  std::vector<Relation> rels;
+  rels.push_back(SortedRel({{4, 2, 9}}, {"a", "b", "c"}));  // one row
+  rels.push_back(SortedRel({{1}, {5}, {5}, {9}, {9}, {9}}, {"x"}));  // arity 1
+  rels.push_back(SortedRel(std::vector<Tuple>(50, {3, 4, 5}),
+                           {"a", "b", "c"}));  // all duplicates
+  rels.push_back(SortedRel({{1, 1, 1, 1}, {1, 1, 1, 2}, {1, 1, 2, 1},
+                            {1, 2, 1, 1}, {2, 1, 1, 1}, {2, 1, 1, 1}},
+                           {"a", "b", "c", "d"}));  // arity 4
+  rels.push_back(SortedRel({{1, 1, 1, 1, 1}, {1, 1, 1, 1, 2}, {1, 2, 0, 0, 0},
+                            {1, 2, 0, 0, 0}, {3, 0, 0, 0, 0}},
+                           {"a", "b", "c", "d", "e"}));  // generic arity
+  for (const Relation& rel : rels) {
+    SCOPED_TRACE(rel.ToString());
+    const ReferenceLevels ref(rel, nullptr);
+    TrieIterator it(&rel);
+    EXPECT_FALSE(it.EmptyRelation());
+    ExpectLevelsMatch(it, ref);
+    Rng rng(7);
+    it.Open();
+    CheckWalk(&it, ref, 0, ref.keys[0].size(), &rng);
   }
 }
 
