@@ -59,10 +59,12 @@ struct StrategyFeedback {
 
 /// All measured strategies for one (query, cluster-size) pair.
 struct QueryFeedback {
-  /// Canonical query text — the lookup key. Find/FindOrAdd compare keys
-  /// modulo NormalizeQueryText (query/normalize_text.h), so any spelling
-  /// of the query (Query::ToString(), hand-written text) resolves to the
-  /// same entry.
+  /// Canonical query text (NormalizeQueryText, query/normalize_text.h) —
+  /// the lookup key. FindOrAdd and Parse canonicalize a key when it enters
+  /// the store, and Find/FindOrAdd canonicalize only their argument, so any
+  /// spelling of the query (Query::ToString(), hand-written text) resolves
+  /// to the same entry. Code that fills `queries` directly must store
+  /// canonical keys.
   std::string query_key;
   int workers = 0;
   std::vector<StrategyFeedback> strategies;

@@ -25,12 +25,15 @@ namespace ptp {
 ///     not the text's)
 ///
 /// Variable and body relation identifiers keep their case: case is
-/// semantic there (distinct variables, catalog lookups).
+/// semantic there (distinct variables, catalog lookups). Every term keeps
+/// its spelling (`007` stays `007`, string literals keep their quotes).
 ///
-/// The function is purely textual — no catalog, no dictionary. Text that
-/// does not scan as `head :- body` falls back to whitespace collapsing
-/// plus trailing-dot removal, so invalid queries still normalize
-/// deterministically (they will fail at parse, under a stable key).
+/// The function is purely textual — no catalog, no dictionary. It is
+/// defined in query/parser.cc and renders ParseDatalog's own parse, so the
+/// parser is the only code that scans Datalog text. Text the parser
+/// rejects falls back to whitespace collapsing plus trailing-dot removal,
+/// so invalid queries still normalize deterministically (they fail at
+/// parse, under a stable key).
 std::string NormalizeQueryText(std::string_view text);
 
 }  // namespace ptp

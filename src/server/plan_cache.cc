@@ -76,11 +76,11 @@ Result<PlanCache::Entry> PlanCache::Prepare(std::string_view text,
   e.key = key;
   e.workers = workers;
   e.catalog = catalog;
-  PTP_ASSIGN_OR_RETURN(e.query,
+  PTP_ASSIGN_OR_RETURN(ConjunctiveQuery query,
                        ParseDatalog(text, &catalog->dictionary()));
-  PTP_RETURN_IF_ERROR(e.query.Validate(*catalog));
+  PTP_RETURN_IF_ERROR(query.Validate(*catalog));
   PTP_ASSIGN_OR_RETURN(NormalizedQuery normalized,
-                       Normalize(e.query, *catalog));
+                       Normalize(query, *catalog));
   e.prepared =
       std::make_shared<const PreparedPlan>(std::move(normalized), workers);
   ++stats_.blind_advisories;

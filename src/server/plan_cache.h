@@ -52,14 +52,15 @@ class PreparedPlan {
 /// the normalized plan: reusing an entry across catalogs would execute the
 /// wrong data and misclassify the query's appetite.
 ///
-/// An entry holds the parse, one shared PreparedPlan (normalization, the
-/// advisor's blind estimates with the greedy join order, and the lazily
-/// optimized Tributary-join variable order) and the current advice. A hit
-/// returns all of it without touching the parser, the normalizer, or any
-/// relation: no advisor scan, and no order optimization once the entry's
-/// first Tributary run computed one. stats() makes that observable (tests
-/// assert parses, blind_advisories and order_optimizations stay at the
-/// number of distinct queries while hits grow).
+/// An entry holds one shared PreparedPlan (normalization, the advisor's
+/// blind estimates with the greedy join order, and the lazily optimized
+/// Tributary-join variable order) and the current advice. A hit scans its
+/// text once, for the key, and returns the entry without interning,
+/// validating, normalizing or touching any relation: no advisor scan, and
+/// no order optimization once the entry's first Tributary run computed
+/// one. stats() makes that observable (tests assert parses,
+/// blind_advisories and order_optimizations stay at the number of
+/// distinct queries while hits grow).
 ///
 /// Entries fold execution feedback back in via Refresh(): the caller
 /// applies the measured QueryFeedback to the entry's blind estimates
@@ -85,7 +86,6 @@ class PlanCache {
     std::string key;
     int workers = 0;
     const Catalog* catalog = nullptr;
-    ConjunctiveQuery query;
     /// Shared, immutable after preparation: concurrent executions of the
     /// same entry read one normalization, one set of blind estimates and
     /// one variable order.
@@ -105,8 +105,9 @@ class PlanCache {
   struct Stats {
     uint64_t hits = 0;
     uint64_t misses = 0;
-    /// Parser + normalizer + advisor invocations (== misses that prepared
-    /// successfully; the hit path never parses).
+    /// Misses that prepared successfully: each built its query from the
+    /// text, validated, normalized and advised it. A hit only renders the
+    /// text's key.
     uint64_t parses = 0;
     /// Advisor relation scans (BlindAdvice), one per prepared entry:
     /// neither a hit nor a feedback refresh re-scans the data.
