@@ -42,13 +42,22 @@ namespace {
 
 using bench::TimeMin;
 
-// Q4's deduplicated probe keys make one seek sweep a fraction of a
-// microsecond, far below what a thread-CPU clock reading resolves, so each
-// timed seek sample repeats the sweep until the sample lasts this long.
+// Seek sequences: this many seeded draws (with replacement) from the probe
+// side's key column, each sorted ascending but not deduplicated, so
+// consecutive sweeps differ and a repeated key takes the already-positioned
+// early-out as it does in a join. Repeating one identical sweep instead lets
+// the branch predictor learn the search path of a small level.
+constexpr int kSeekTargetSets = 4;
+// A Q4 sweep is far below what a thread-CPU clock reading resolves, so each
+// timed seek sample repeats passes over the target sets until it lasts this
+// long.
 constexpr double kMinSeekSampleSeconds = 1e-3;
 
-// Keeps the compiler from folding repeated calls of a pure sweep into one.
-inline void ClobberMemory() { asm volatile("" ::: "memory"); }
+// Keeps a timed sweep's result live, so the compiler can neither drop the
+// sweep nor fold repeated calls into one.
+inline void KeepLive(uint64_t value) {
+  asm volatile("" : : "r"(value) : "memory");
+}
 
 // Same key hashing the local join operators use.
 uint64_t HashKey(const Value* row, const std::vector<int>& cols) {
@@ -460,40 +469,55 @@ int main(int argc, char** argv) {
     }
 
     // --- trie seek (galloping vs full-range binary search) ---
-    // The sorted leading column plays the trie level; the probe side's key
-    // column values, deduplicated ascending, play the LFTJ seek sequence.
-    std::vector<Value> level(frag.NumTuples());
-    for (size_t r = 0; r < frag.NumTuples(); ++r) level[r] = frag.At(r, 0);
-    std::sort(level.begin(), level.end());
-    std::vector<Value> targets(probe->NumTuples());
-    for (size_t r = 0; r < probe->NumTuples(); ++r) {
-      targets[r] = probe->At(r, static_cast<size_t>(pkey[0]));
+    // The build side's join-key column, sorted and deduplicated, plays the
+    // trie level that the probe side's keys seek into; seeded draws from
+    // the probe side's key column play the LFTJ seek sequences.
+    std::vector<Value> level(build->NumTuples());
+    for (size_t r = 0; r < build->NumTuples(); ++r) {
+      level[r] = build->At(r, static_cast<size_t>(bkey[0]));
     }
-    std::sort(targets.begin(), targets.end());
-    targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
+    std::sort(level.begin(), level.end());
+    level.erase(std::unique(level.begin(), level.end()), level.end());
+    std::vector<std::vector<Value>> target_sets(kSeekTargetSets);
+    std::mt19937_64 rng(11 + q);
+    for (std::vector<Value>& targets : target_sets) {
+      targets.resize(probe->NumTuples());
+      for (Value& v : targets) {
+        v = probe->At(rng() % probe->NumTuples(),
+                      static_cast<size_t>(pkey[0]));
+      }
+      std::sort(targets.begin(), targets.end());
+    }
     uint64_t seed_digest = 0, gallop_digest = 0, gallop_steps = 0;
-    size_t sweeps = 1;
+    for (const std::vector<Value>& targets : target_sets) {
+      seed_digest += SeedSeekSweep(level, targets);
+      gallop_digest += GallopSeekSweep(level, targets, &gallop_steps);
+    }
+    PTP_CHECK(seed_digest == gallop_digest)
+        << id << ": galloping seek lands on different positions";
+    size_t passes = 1;
+    uint64_t timed_steps = 0;
     auto sample = [&](auto&& sweep) {
       return TimeMin(reps, [&] {
-        for (size_t s = 0; s < sweeps; ++s) {
-          sweep();
-          ClobberMemory();
+        for (size_t pass = 0; pass < passes; ++pass) {
+          for (const std::vector<Value>& targets : target_sets) {
+            KeepLive(sweep(targets));
+          }
         }
       });
     };
     double seed_seek = 0, gallop_seek = 0;
     while (true) {
-      seed_seek =
-          sample([&] { seed_digest = SeedSeekSweep(level, targets); });
-      gallop_seek = sample([&] {
-        gallop_steps = 0;
-        gallop_digest = GallopSeekSweep(level, targets, &gallop_steps);
+      seed_seek = sample([&](const std::vector<Value>& targets) {
+        return SeedSeekSweep(level, targets);
+      });
+      gallop_seek = sample([&](const std::vector<Value>& targets) {
+        return GallopSeekSweep(level, targets, &timed_steps);
       });
       if (std::min(seed_seek, gallop_seek) >= kMinSeekSampleSeconds) break;
-      sweeps *= 2;
+      passes *= 2;
     }
-    PTP_CHECK(seed_digest == gallop_digest)
-        << id << ": galloping seek lands on different positions";
+    const size_t sweeps = passes * kSeekTargetSets;
     rows.push_back({"trie_seek_sweep", id, seed_seek / sweeps,
                     gallop_seek / sweeps, sweeps});
     counters["tj.gallop_steps"] += gallop_steps;

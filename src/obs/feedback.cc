@@ -123,6 +123,28 @@ QueryFeedback* FeedbackStore::FindOrAdd(std::string_view query_key,
   return &queries.back();
 }
 
+const QueryFeedback* FeedbackStore::Fold(std::string_view query_key,
+                                         int workers, StrategyFeedback run,
+                                         size_t max_entries) {
+  QueryFeedback* q = FindOrAdd(query_key, workers);
+  auto same = std::find_if(
+      q->strategies.begin(), q->strategies.end(),
+      [&](const StrategyFeedback& s) { return s.strategy == run.strategy; });
+  if (same != q->strategies.end()) {
+    *same = std::move(run);
+  } else {
+    q->strategies.push_back(std::move(run));
+  }
+  const auto touched = queries.begin() + (q - queries.data());
+  std::rotate(touched, touched + 1, queries.end());
+  const size_t cap = std::max<size_t>(1, max_entries);
+  if (queries.size() > cap) {
+    queries.erase(queries.begin(),
+                  queries.end() - static_cast<ptrdiff_t>(cap));
+  }
+  return &queries.back();
+}
+
 const QueryFeedback* FeedbackStore::Find(std::string_view query_key,
                                          int workers) const {
   const std::string key = NormalizeQueryText(query_key);

@@ -86,6 +86,13 @@ struct FeedbackStore {
   std::vector<QueryFeedback> queries;
 
   QueryFeedback* FindOrAdd(std::string_view query_key, int workers);
+  /// Folds one measured run into a bounded store, the way the serving
+  /// layer keeps it: replaces the entry's run of the same strategy (or
+  /// appends it), moves the entry to most-recently-used (the back), and
+  /// drops least-recently-used entries past `max_entries` (0 means 1).
+  /// Returns the entry, valid until the store next changes.
+  const QueryFeedback* Fold(std::string_view query_key, int workers,
+                            StrategyFeedback run, size_t max_entries);
   const QueryFeedback* Find(std::string_view query_key, int workers) const;
 
   std::string ToJson() const;

@@ -25,9 +25,11 @@ namespace server_internal {
 struct PendingQuery {
   std::string id;
   QueryRequest request;
+  /// The prepared plan, frozen at submit (empty when the text never
+  /// parsed); its peak estimate is the admission reservation and its
+  /// measured runtime the retry_after hint.
   PlanCache::Entry plan;
   bool cache_hit = false;
-  uint64_t est_peak_bytes = 0;
   bool small = true;
   uint64_t dispatch_seq = 0;
   Timer queue_timer;
@@ -56,15 +58,51 @@ struct PendingQuery {
   ShuffleKind shuffle = ShuffleKind::kRegular;
   JoinKind join = JoinKind::kHashJoin;
   StrategyOptions opts;
-  /// Measured-runtime hint from the plan cache (retry_after computation).
-  double est_exec_seconds = 0;
-  double queue_seconds = 0;  // frozen at first dispatch
+  double queue_seconds = 0;  // frozen at first dispatch or queued cancel
   double exec_seconds = 0;   // accumulated across dispatches
 
   std::mutex mu;
   std::condition_variable cv;
   bool done = false;
   QueryResponse response;
+
+  /// The one response builder: what every exit reports from the request's
+  /// own state. The admission verdict (cache hit, cost class, peak
+  /// estimate) appears once the plan is prepared, the executed plan once a
+  /// dispatch froze it, and the metrics are a suspended query's
+  /// checkpointed partial account (a finished run overwrites them).
+  QueryResponse Respond(Status status) const {
+    QueryResponse r;
+    r.id = id;
+    r.status = std::move(status);
+    if (plan.prepared != nullptr) {
+      r.cache_hit = cache_hit;
+      r.cost_class = small ? "small" : "large";
+      r.est_peak_bytes = plan.est_peak_bytes;
+    }
+    r.dispatch_seq = dispatch_seq;
+    if (started) {
+      r.strategy = StrategyName(shuffle, join);
+      r.bloom = opts.bloom;
+    }
+    if (checkpoint != nullptr) r.metrics = checkpoint->metrics;
+    if (counters != nullptr) r.counters = counters->CounterSnapshot();
+    if (lifecycle != nullptr) r.lifecycle = lifecycle->stats();
+    r.queue_seconds = queue_seconds;
+    r.exec_seconds = exec_seconds;
+    return r;
+  }
+
+  /// A lifecycle verdict that stops the query outside the engine (a queued
+  /// cancel, a stop caught at dispatch): the partial account becomes a
+  /// graceful FAIL.
+  QueryResponse RespondStopped(const Status& verdict) const {
+    QueryResponse r = Respond(verdict);
+    r.metrics.failed = true;
+    r.metrics.fail_code = verdict.code();
+    r.metrics.fail_reason = verdict.message();
+    return r;
+  }
 
   void Resolve(QueryResponse r) {
     {
@@ -194,49 +232,38 @@ QueryHandle QueryServer::SubmitInternal(const std::string& id,
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.submitted;
   }
+  QueryHandle handle(p);
+  // Parse, fault-schedule and never-fits rejects resolve here, before the
+  // query is visible to executors.
+  auto reject = [&](Status status, bool never_fits) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++stats_.rejected;
+    }
+    BookSubmit(p.get());
+    FinishRequest(p, p->Respond(std::move(status)), /*shed=*/false,
+                  never_fits);
+    return handle;
+  };
 
   // Parse + optimize through the plan cache. The feedback store is read
   // under its lock so in-flight refreshes never race a prepare (lock
   // order: feedback_mu_ before the cache's internal mutex, everywhere).
   Result<PlanCache::Entry> prepared = [&]() -> Result<PlanCache::Entry> {
     std::lock_guard<std::mutex> fb_lock(feedback_mu_);
-    return cache_.Prepare(
-        request.text, request.workers, request.catalog,
-        options_.collect_feedback ? &feedback_ : nullptr, &p->cache_hit);
+    return cache_.Prepare(request.text, request.workers, request.catalog,
+                          &feedback_, &p->cache_hit);
   }();
-  QueryHandle handle(p);
-  if (!prepared.ok()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.rejected;
-    }
-    QueryResponse r;
-    r.id = id;
-    r.status = prepared.status();
-    BookSubmit(p.get());
-    FinishRequest(p, std::move(r), /*shed=*/false, /*never_fits=*/false);
-    return handle;
-  }
+  if (!prepared.ok()) return reject(prepared.status(), /*never_fits=*/false);
   p->plan = std::move(prepared).value();
-  p->est_peak_bytes = p->plan.est_peak_bytes;
-  p->est_exec_seconds = p->plan.est_exec_seconds;
-  p->small = p->est_peak_bytes <= options_.small_query_bytes;
+  p->small = p->plan.est_peak_bytes <= options_.small_query_bytes;
 
   // Per-request fault schedule: parsed now so a malformed schedule rejects
   // at submit, run later under the query's private injector.
   if (!request.faults.empty()) {
     Result<FaultPlan> fault_plan = FaultPlan::Parse(request.faults);
     if (!fault_plan.ok()) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.rejected;
-      }
-      QueryResponse r;
-      r.id = id;
-      r.status = fault_plan.status();
-      BookSubmit(p.get());
-      FinishRequest(p, std::move(r), /*shed=*/false, /*never_fits=*/false);
-      return handle;
+      return reject(fault_plan.status(), /*never_fits=*/false);
     }
     p->injector =
         std::make_unique<FaultInjector>(std::move(fault_plan).value());
@@ -258,26 +285,15 @@ QueryHandle QueryServer::SubmitInternal(const std::string& id,
   }
 
   // Admission: a query that can never fit the pool is refused now, not
-  // queued forever.
+  // queued forever (retry_after stays 0: resubmitting cannot help).
   if (options_.memory_pool_bytes != 0 &&
-      p->est_peak_bytes > options_.memory_pool_bytes) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.rejected;
-    }
-    QueryResponse r;
-    r.id = id;
-    r.cache_hit = p->cache_hit;
-    r.est_peak_bytes = p->est_peak_bytes;
-    r.cost_class = p->small ? "small" : "large";
-    r.status = Status::ResourceExhausted(StrFormat(
-        "estimated peak %llu B exceeds the server memory pool (%llu B)",
-        static_cast<unsigned long long>(p->est_peak_bytes),
-        static_cast<unsigned long long>(options_.memory_pool_bytes)));
-    r.retry_after_seconds = 0;  // permanent: resubmitting cannot help
-    BookSubmit(p.get());
-    FinishRequest(p, std::move(r), /*shed=*/false, /*never_fits=*/true);
-    return handle;
+      p->plan.est_peak_bytes > options_.memory_pool_bytes) {
+    return reject(
+        Status::ResourceExhausted(StrFormat(
+            "estimated peak %llu B exceeds the server memory pool (%llu B)",
+            static_cast<unsigned long long>(p->plan.est_peak_bytes),
+            static_cast<unsigned long long>(options_.memory_pool_bytes))),
+        /*never_fits=*/true);
   }
 
   // Admission work is booked (and the submit span emitted) before the
@@ -298,18 +314,21 @@ QueryHandle QueryServer::SubmitInternal(const std::string& id,
     } else {
       (p->small ? small_ : large_).push_back(p);
       by_id_[p->id] = p;
-      MaybePreemptLocked();
+      // One victim per backlog crossing; the request is honored at the
+      // query's next regular-shuffle round barrier (single-round plans
+      // run to completion — nothing to preempt).
+      for (const auto& running : running_queries_) {
+        if (YieldDueLocked(*running) &&
+            running->lifecycle->RequestSuspend()) {
+          break;
+        }
+      }
     }
   }
   if (shed_retry_after >= 0) {
-    QueryResponse r;
-    r.id = id;
-    r.cache_hit = p->cache_hit;
-    r.est_peak_bytes = p->est_peak_bytes;
-    r.cost_class = p->small ? "small" : "large";
-    r.status = Status::ResourceExhausted(StrFormat(
-        "admission queue full (%zu queued, cap %zu)",
-        options_.max_queue_depth, options_.max_queue_depth));
+    QueryResponse r = p->Respond(Status::ResourceExhausted(
+        StrFormat("admission queue full (%zu queued, cap %zu)",
+                  options_.max_queue_depth, options_.max_queue_depth)));
     r.retry_after_seconds = shed_retry_after;
     FinishRequest(p, std::move(r), /*shed=*/true, /*never_fits=*/false);
     return handle;
@@ -338,8 +357,8 @@ double QueryServer::RetryAfterLocked() const {
   constexpr double kUnmeasuredSeconds = 0.05;
   double backlog = 0;
   auto est = [&](const std::shared_ptr<PendingQuery>& p) {
-    return p->est_exec_seconds > 0 ? p->est_exec_seconds
-                                   : kUnmeasuredSeconds;
+    return p->plan.est_exec_seconds > 0 ? p->plan.est_exec_seconds
+                                        : kUnmeasuredSeconds;
   };
   for (const auto& p : small_) backlog += est(p);
   for (const auto& p : large_) backlog += est(p);
@@ -349,20 +368,11 @@ double QueryServer::RetryAfterLocked() const {
   return std::max(0.01, backlog / lanes);
 }
 
-void QueryServer::MaybePreemptLocked() {
-  if (options_.preempt_small_backlog <= 0) return;
-  if (small_.size() <
-      static_cast<size_t>(options_.preempt_small_backlog)) {
-    return;
-  }
-  for (const auto& p : running_queries_) {
-    if (p->small) continue;
-    if (p->suspend_count >= options_.max_suspends_per_query) continue;
-    // One victim per backlog crossing; the request is honored at the
-    // query's next regular-shuffle round barrier (single-round plans run
-    // to completion — nothing to preempt).
-    if (p->lifecycle->RequestSuspend()) return;
-  }
+bool QueryServer::YieldDueLocked(const PendingQuery& p) const {
+  return !p.small && options_.preempt_small_backlog > 0 &&
+         small_.size() >=
+             static_cast<size_t>(options_.preempt_small_backlog) &&
+         p.suspend_count < kMaxSuspendsPerQuery;
 }
 
 bool QueryServer::Cancel(const std::string& id) {
@@ -393,36 +403,19 @@ bool QueryServer::Cancel(const std::string& id) {
     if (strip(small_) || strip(large_)) {
       ++stats_.cancelled;
       by_id_.erase(id);
+      if (!queued->started) {
+        queued->queue_seconds = queued->queue_timer.Seconds();
+      }
     }
   }
   if (queued == nullptr) return true;  // running: the executor resolves it
 
-  QueryResponse r;
-  r.id = queued->id;
-  r.cache_hit = queued->cache_hit;
-  r.est_peak_bytes = queued->est_peak_bytes;
-  r.cost_class = queued->small ? "small" : "large";
-  r.dispatch_seq = queued->dispatch_seq;
-  r.queue_seconds = queued->started ? queued->queue_seconds
-                                    : queued->queue_timer.Seconds();
-  r.exec_seconds = queued->exec_seconds;
-  // A previously-suspended query carries its checkpointed partial account.
-  if (queued->checkpoint != nullptr) {
-    r.metrics = queued->checkpoint->metrics;
-    r.strategy = StrategyName(queued->shuffle, queued->join);
-    r.bloom = queued->opts.bloom;
-  }
   const Status verdict = queued->lifecycle->Poll("queue");
-  r.status = verdict.ok() ? Status::Cancelled("cancelled by client")
-                          : verdict;
-  r.metrics.failed = true;
-  r.metrics.fail_code = r.status.code();
-  r.metrics.fail_reason = r.status.message();
-  if (queued->counters != nullptr) {
-    r.counters = queued->counters->CounterSnapshot();
-  }
-  r.lifecycle = queued->lifecycle->stats();
-  FinishRequest(queued, std::move(r), /*shed=*/false, /*never_fits=*/false);
+  FinishRequest(queued,
+                queued->RespondStopped(
+                    verdict.ok() ? Status::Cancelled("cancelled by client")
+                                 : verdict),
+                /*shed=*/false, /*never_fits=*/false);
   drain_cv_.notify_all();
   return true;
 }
@@ -435,7 +428,8 @@ bool QueryServer::Cancel(const std::string& id) {
 std::shared_ptr<PendingQuery> QueryServer::PickLocked() {
   auto fits = [&](const PendingQuery& p) {
     return options_.memory_pool_bytes == 0 || in_flight_ == 0 ||
-           reserved_bytes_ + p.est_peak_bytes <= options_.memory_pool_bytes;
+           reserved_bytes_ + p.plan.est_peak_bytes <=
+               options_.memory_pool_bytes;
   };
   auto take_small = [&]() {
     auto p = small_.front();
@@ -487,7 +481,7 @@ void QueryServer::ExecutorMain(int lane) {
         }
         work_cv_.wait(lock);
       }
-      reserved_bytes_ += p->est_peak_bytes;
+      reserved_bytes_ += p->plan.est_peak_bytes;
       ++in_flight_;
       if (p->dispatch_seq == 0) {
         first_dispatch = true;
@@ -503,14 +497,9 @@ void QueryServer::ExecutorMain(int lane) {
       // still-standing small backlog is asked to yield again at its next
       // barrier. Without this the first resume marches past the backlog's
       // tail — smalls behind the small_per_large window would wait out the
-      // whole remaining large run. max_suspends_per_query still bounds the
+      // whole remaining large run. kMaxSuspendsPerQuery still bounds the
       // total yields, after which the query runs to completion.
-      if (!p->small && options_.preempt_small_backlog > 0 &&
-          small_.size() >=
-              static_cast<size_t>(options_.preempt_small_backlog) &&
-          p->suspend_count < options_.max_suspends_per_query) {
-        p->lifecycle->RequestSuspend();
-      }
+      if (YieldDueLocked(*p)) p->lifecycle->RequestSuspend();
     }
 
     // Telemetry-plane trace: the queue-wait span (once, at first
@@ -548,7 +537,7 @@ void QueryServer::ExecutorMain(int lane) {
 
     {
       std::lock_guard<std::mutex> lock(mu_);
-      reserved_bytes_ -= p->est_peak_bytes;
+      reserved_bytes_ -= p->plan.est_peak_bytes;
       --in_flight_;
       running_queries_.erase(std::remove(running_queries_.begin(),
                                          running_queries_.end(), p),
@@ -585,14 +574,6 @@ void QueryServer::ExecutorMain(int lane) {
 
 QueryResponse QueryServer::Execute(PendingQuery* p, bool* suspended) {
   *suspended = false;
-  QueryResponse r;
-  r.id = p->id;
-  r.cache_hit = p->cache_hit;
-  r.est_peak_bytes = p->est_peak_bytes;
-  r.cost_class = p->small ? "small" : "large";
-  r.dispatch_seq = p->dispatch_seq;
-
-  const bool resuming = p->checkpoint != nullptr;
   if (!p->started) {
     // First dispatch: freeze the plan choice and create the per-query
     // sinks. Both survive a suspension — a resumed query keeps charging
@@ -636,9 +617,6 @@ QueryResponse QueryServer::Execute(PendingQuery* p, bool* suspended) {
     p->meter = std::make_unique<ResourceMeter>(options_.query_budget_bytes,
                                                /*hard=*/true);
   }
-  r.queue_seconds = p->queue_seconds;
-  r.strategy = StrategyName(p->shuffle, p->join);
-  r.bloom = p->opts.bloom;
 
   // Per-query observability + control sinks, installed on this executor
   // thread only (a thread-local runtime::QueryContext) until this function
@@ -656,146 +634,81 @@ QueryResponse QueryServer::Execute(PendingQuery* p, bool* suspended) {
   // pick and dispatch) resolves here without (re)entering the engine —
   // with any checkpointed partial account intact.
   Status pre = p->lifecycle->Poll("dispatch");
-  if (!pre.ok()) {
-    if (p->checkpoint != nullptr) r.metrics = p->checkpoint->metrics;
-    r.metrics.failed = true;
-    r.metrics.fail_code = pre.code();
-    r.metrics.fail_reason = pre.message();
-    r.status = pre;
-    r.exec_seconds = p->exec_seconds;
-    r.counters = p->counters->CounterSnapshot();
-    r.lifecycle = p->lifecycle->stats();
-    return r;
-  }
+  if (!pre.ok()) return p->RespondStopped(pre);
 
+  // The run consumes the checkpoint it resumes from; a new one comes back
+  // only when it suspends again.
+  const std::shared_ptr<QueryCheckpoint> resume = std::move(p->checkpoint);
   Timer exec_timer;
   Result<StrategyResult> result =
-      resuming ? ResumeStrategy(p->plan.prepared->normalized(), p->shuffle,
-                                p->join, p->opts, *p->checkpoint)
-               : RunStrategy(p->plan.prepared->normalized(), p->shuffle,
-                             p->join, p->opts);
+      resume != nullptr
+          ? ResumeStrategy(p->plan.prepared->normalized(), p->shuffle,
+                           p->join, p->opts, *resume)
+          : RunStrategy(p->plan.prepared->normalized(), p->shuffle, p->join,
+                        p->opts);
   p->exec_seconds += exec_timer.Seconds();
-  r.exec_seconds = p->exec_seconds;
-
-  if (!result.ok()) {
-    r.status = result.status();
-    r.counters = p->counters->CounterSnapshot();
-    r.lifecycle = p->lifecycle->stats();
-    return r;
-  }
+  if (!result.ok()) return p->Respond(result.status());
   StrategyResult sr = std::move(result).value();
   if (sr.checkpoint != nullptr) {
     // Suspended at a round barrier: stash the checkpoint for the resume
-    // dispatch. The response is discarded — the handle resolves only when
-    // the query finishes (or is cancelled).
+    // dispatch. No response — the handle resolves only when the query
+    // finishes (or is cancelled).
     p->checkpoint = std::move(sr.checkpoint);
     *suspended = true;
-    return r;
+    return QueryResponse();
   }
-  p->checkpoint.reset();
-  r.metrics = sr.metrics;
-  r.output = std::move(sr.output);
+
+  // A graceful FAIL keeps its budget or lifecycle code; any other failure
+  // is the recovery ladder giving up.
+  Status status;
+  bool lifecycle_stop = false;
   if (sr.metrics.failed) {
-    switch (sr.metrics.fail_code) {
-      case StatusCode::kResourceExhausted:
-        r.status = Status::ResourceExhausted(sr.metrics.fail_reason);
-        break;
-      case StatusCode::kCancelled:
-        r.status = Status::Cancelled(sr.metrics.fail_reason);
-        break;
-      case StatusCode::kDeadlineExceeded:
-        r.status = Status::DeadlineExceeded(sr.metrics.fail_reason);
-        break;
-      default:
-        r.status = Status::Unavailable(sr.metrics.fail_reason);
-        break;
-    }
+    const StatusCode code = sr.metrics.fail_code;
+    lifecycle_stop = code == StatusCode::kCancelled ||
+                     code == StatusCode::kDeadlineExceeded;
+    status = Status(lifecycle_stop || code == StatusCode::kResourceExhausted
+                        ? code
+                        : StatusCode::kUnavailable,
+                    sr.metrics.fail_reason);
   }
 
   // Lifecycle-stopped runs teach the advisor nothing (their measurements
   // describe an interrupted run, not the plan).
-  const bool lifecycle_stop =
-      sr.metrics.failed &&
-      (sr.metrics.fail_code == StatusCode::kCancelled ||
-       sr.metrics.fail_code == StatusCode::kDeadlineExceeded);
-  if (options_.collect_feedback && !lifecycle_stop) {
+  if (!lifecycle_stop) {
     // Fold the measured run into the feedback store and re-advise the
     // cached plan: the next execution of this query starts from what this
     // one measured (strategy upgrade + measured peak for admission). Both
     // steps reuse the entry's blind estimates, so nothing under
     // feedback_mu_ — which every submit also takes — scans a relation.
     const PreparedPlan& prepared = *p->plan.prepared;
-    StrategyFeedback sf = CollectStrategyFeedback(
-        prepared.normalized(), r.strategy, sr, &prepared.blind());
+    StrategyFeedback sf =
+        CollectStrategyFeedback(prepared.normalized(),
+                                StrategyName(p->shuffle, p->join), sr,
+                                &prepared.blind());
     std::lock_guard<std::mutex> fb_lock(feedback_mu_);
-    QueryFeedback* qf =
-        feedback_.FindOrAdd(p->plan.key, p->request.workers);
-    bool replaced = false;
-    for (StrategyFeedback& s : qf->strategies) {
-      if (s.strategy == sf.strategy) {
-        s = sf;
-        replaced = true;
-        break;
-      }
-    }
-    if (!replaced) qf->strategies.push_back(std::move(sf));
-    const StrategyAdvice advice = ApplyFeedback(prepared.blind(), qf);
+    const QueryFeedback* qf =
+        feedback_.Fold(p->plan.key, p->request.workers, std::move(sf),
+                       options_.feedback_max_entries);
     cache_.Refresh(p->plan.key, p->request.workers, p->request.catalog,
-                   advice,
+                   ApplyFeedback(prepared.blind(), qf),
                    sr.metrics.failed
                        ? 0
                        : static_cast<uint64_t>(sr.metrics.peak_bytes),
                    sr.metrics.failed ? 0 : p->exec_seconds);
-    // Bound the in-memory store like the plan cache: rotate the entry just
-    // touched to most-recently-used (invalidates qf), then trim the least
-    // recently used past the cap.
-    const size_t cap = std::max<size_t>(1, options_.feedback_max_entries);
-    const size_t touched =
-        static_cast<size_t>(qf - feedback_.queries.data());
-    if (touched + 1 < feedback_.queries.size()) {
-      std::rotate(
-          feedback_.queries.begin() + static_cast<ptrdiff_t>(touched),
-          feedback_.queries.begin() + static_cast<ptrdiff_t>(touched) + 1,
-          feedback_.queries.end());
-    }
-    while (feedback_.queries.size() > cap) {
-      feedback_.queries.erase(feedback_.queries.begin());
-    }
   }
-  r.counters = p->counters->CounterSnapshot();
-  r.lifecycle = p->lifecycle->stats();
+  QueryResponse r = p->Respond(std::move(status));
+  r.metrics = std::move(sr.metrics);
+  r.output = std::move(sr.output);
   return r;
 }
 
 void QueryServer::FinishRequest(const std::shared_ptr<PendingQuery>& p,
                                 QueryResponse r, bool shed,
                                 bool never_fits) {
-  const bool dispatched = r.dispatch_seq != 0;
-  const double total_seconds = p->queue_timer.Seconds();
-
-  RequestSample sample;
-  sample.outcome = OutcomeName(r.status.code(), shed, never_fits);
-  sample.small = p->small;
-  sample.cache_hit = r.cache_hit;
-  sample.bloom = r.bloom;
-  sample.dispatched = dispatched;
-  sample.slow = options_.slow_query_seconds > 0 &&
-                total_seconds >= options_.slow_query_seconds;
-  sample.admission_seconds = p->admission_seconds;
-  // Queue-wait is submit→first-dispatch net of the submit-side work; a
-  // never-dispatched request spends its whole life in admission + queue
-  // but only the end-to-end phase records it (dispatched == false).
-  sample.queue_seconds =
-      std::max(0.0, (dispatched ? p->queue_seconds : total_seconds) -
-                        p->admission_seconds);
-  sample.exec_seconds = p->exec_seconds;
-  sample.total_seconds = total_seconds;
-  sample.lifecycle = r.lifecycle;
-  telemetry_.Record(sample);
-
+  RequestRecord rec;
+  rec.id = p->id;
+  rec.total_seconds = p->queue_timer.Seconds();
   if (query_log_ != nullptr) {
-    QueryLogRecord rec;
-    rec.id = p->id;
     const size_t dot = p->id.rfind(".q");
     rec.session = dot == std::string::npos ? "" : p->id.substr(0, dot);
     // The cache key IS the normalized text; a request that never prepared
@@ -804,33 +717,33 @@ void QueryServer::FinishRequest(const std::shared_ptr<PendingQuery>& p,
                                        ? p->plan.key
                                        : NormalizeQueryText(p->request.text));
     rec.catalog = CatalogFingerprint(p->request.catalog);
-    rec.cost_class = r.cost_class;
-    rec.strategy = r.strategy;
-    rec.bloom = r.bloom;
-    rec.cache_hit = r.cache_hit;
-    rec.outcome = sample.outcome;
-    rec.status = StatusCodeToString(r.status.code());
-    rec.fail_reason =
-        r.status.ok() ? std::string() : std::string(r.status.message());
-    rec.admission_ms = sample.admission_seconds * 1e3;
-    rec.queue_ms = sample.queue_seconds * 1e3;
-    rec.exec_ms = sample.exec_seconds * 1e3;
-    rec.total_ms = total_seconds * 1e3;
-    rec.est_peak_bytes = r.est_peak_bytes;
-    rec.peak_bytes = r.metrics.peak_bytes;
-    if (rec.est_peak_bytes > 0 && rec.peak_bytes > 0) {
-      const double est = static_cast<double>(rec.est_peak_bytes);
-      const double actual = static_cast<double>(rec.peak_bytes);
-      rec.peak_qerror = std::max(est / actual, actual / est);
-    }
-    rec.output_tuples = r.metrics.output_tuples;
-    rec.tuples_shuffled = r.metrics.TuplesShuffled();
-    rec.suspends = r.lifecycle.suspends;
-    rec.watchdog_trips = r.lifecycle.watchdog_trips;
-    rec.slow = sample.slow;
-    rec.dispatch_seq = r.dispatch_seq;
-    query_log_->Append(rec);
   }
+  rec.cost_class = r.cost_class;
+  rec.strategy = r.strategy;
+  rec.bloom = r.bloom;
+  rec.cache_hit = r.cache_hit;
+  rec.outcome = OutcomeName(r.status.code(), shed, never_fits);
+  rec.status = StatusCodeToString(r.status.code());
+  if (!r.status.ok()) rec.fail_reason = r.status.message();
+  const bool dispatched = r.dispatch_seq != 0;
+  rec.admission_seconds = p->admission_seconds;
+  // Queue-wait is submit→first-dispatch net of the submit-side work; a
+  // never-dispatched request spends its whole life in admission + queue
+  // but only the end-to-end phase records it.
+  rec.queue_seconds =
+      std::max(0.0, (dispatched ? p->queue_seconds : rec.total_seconds) -
+                        p->admission_seconds);
+  rec.exec_seconds = p->exec_seconds;
+  rec.est_peak_bytes = r.est_peak_bytes;
+  rec.peak_bytes = r.metrics.peak_bytes;
+  rec.output_tuples = r.metrics.output_tuples;
+  rec.tuples_shuffled = r.metrics.TuplesShuffled();
+  rec.lifecycle = r.lifecycle;
+  rec.slow = options_.slow_query_seconds > 0 &&
+             rec.total_seconds >= options_.slow_query_seconds;
+  rec.dispatch_seq = r.dispatch_seq;
+  telemetry_.Record(rec);
+  if (query_log_ != nullptr) query_log_->Append(rec);
 
   if (options_.trace != nullptr && !dispatched) {
     // Dispatched requests close their flow inside the final execution
@@ -955,35 +868,31 @@ ServerSnapshot QueryServer::Snapshot() const {
     snap.pool.submitted = stats_.submitted;
     snap.pool.completed = stats_.completed;
     // Queued (and suspended) queries are quiescent under mu_ — every
-    // field below was last written by a thread that has since released
-    // mu_. Running queries are owned by an executor that mutates them
-    // without the lock, so their rows stick to fields that freeze at
+    // field was last written by a thread that has since released mu_.
+    // Running queries are owned by an executor that mutates them without
+    // the lock, so their rows stick to fields that freeze at
     // submit/dispatch.
-    auto queued_row = [&](const std::shared_ptr<PendingQuery>& p) {
+    auto add_row = [&](const std::shared_ptr<PendingQuery>& p,
+                       const char* state) {
       ServerSnapshot::QueryRow row;
       row.id = p->id;
-      row.state = p->checkpoint != nullptr ? "suspended" : "queued";
+      row.state = state;
       row.cost_class = p->small ? "small" : "large";
-      if (p->started) row.strategy = StrategyName(p->shuffle, p->join);
-      row.est_peak_bytes = p->est_peak_bytes;
+      if (row.state != "running" && p->started) {
+        row.strategy = StrategyName(p->shuffle, p->join);
+      }
+      row.est_peak_bytes = p->plan.est_peak_bytes;
       row.dispatch_seq = p->dispatch_seq;
       row.suspend_count = p->suspend_count;
       row.waited_seconds = p->queue_timer.Seconds();
       snap.queries.push_back(std::move(row));
     };
-    for (const auto& p : small_) queued_row(p);
-    for (const auto& p : large_) queued_row(p);
-    for (const auto& p : running_queries_) {
-      ServerSnapshot::QueryRow row;
-      row.id = p->id;
-      row.state = "running";
-      row.cost_class = p->small ? "small" : "large";
-      row.est_peak_bytes = p->est_peak_bytes;
-      row.dispatch_seq = p->dispatch_seq;
-      row.suspend_count = p->suspend_count;
-      row.waited_seconds = p->queue_timer.Seconds();
-      snap.queries.push_back(std::move(row));
+    for (const auto* queue : {&small_, &large_}) {
+      for (const auto& p : *queue) {
+        add_row(p, p->checkpoint != nullptr ? "suspended" : "queued");
+      }
     }
+    for (const auto& p : running_queries_) add_row(p, "running");
   }
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);

@@ -63,29 +63,30 @@ std::string OutcomeName(StatusCode code, bool shed, bool never_fits) {
   }
 }
 
-void ServerTelemetry::Record(const RequestSample& sample) {
+void ServerTelemetry::Record(const RequestRecord& record) {
   std::lock_guard<std::mutex> lock(mu_);
-  const int cls = sample.small ? 0 : 1;
+  const int cls = record.cost_class == "large" ? 1 : 0;
+  const bool dispatched = record.dispatch_seq != 0;
   latency_[static_cast<int>(RequestPhase::kAdmission)][cls].Record(
-      Micros(sample.admission_seconds));
+      Micros(record.admission_seconds));
   latency_[static_cast<int>(RequestPhase::kEndToEnd)][cls].Record(
-      Micros(sample.total_seconds));
-  if (sample.dispatched) {
+      Micros(record.total_seconds));
+  if (dispatched) {
     latency_[static_cast<int>(RequestPhase::kQueueWait)][cls].Record(
-        Micros(sample.queue_seconds));
+        Micros(record.queue_seconds));
     latency_[static_cast<int>(RequestPhase::kExecution)][cls].Record(
-        Micros(sample.exec_seconds));
+        Micros(record.exec_seconds));
   }
-  ++counters_["outcome." + sample.outcome];
-  ++counters_[sample.small ? "class.small" : "class.large"];
-  if (sample.cache_hit) ++counters_["cache_hits"];
-  if (sample.bloom) ++counters_["bloom_runs"];
-  if (sample.dispatched) ++counters_["dispatched"];
-  if (sample.slow) ++counters_["slow_queries"];
-  counters_["lifecycle_polls"] += sample.lifecycle.polls;
-  counters_["suspends"] += sample.lifecycle.suspends;
-  counters_["resumes"] += sample.lifecycle.resumes;
-  counters_["watchdog_trips"] += sample.lifecycle.watchdog_trips;
+  ++counters_["outcome." + record.outcome];
+  ++counters_[cls == 0 ? "class.small" : "class.large"];
+  if (record.cache_hit) ++counters_["cache_hits"];
+  if (record.bloom) ++counters_["bloom_runs"];
+  if (dispatched) ++counters_["dispatched"];
+  if (record.slow) ++counters_["slow_queries"];
+  counters_["lifecycle_polls"] += record.lifecycle.polls;
+  counters_["suspends"] += record.lifecycle.suspends;
+  counters_["resumes"] += record.lifecycle.resumes;
+  counters_["watchdog_trips"] += record.lifecycle.watchdog_trips;
 }
 
 void ServerTelemetry::WriteProm(std::ostream& os) const {
@@ -178,7 +179,7 @@ Histogram ServerTelemetry::LatencySnapshot(RequestPhase phase,
   return latency_[static_cast<int>(phase)][class_small ? 0 : 1];
 }
 
-std::string QueryLogRecordJson(const QueryLogRecord& r) {
+std::string QueryLogJson(const RequestRecord& r) {
   std::string out = "{\"v\":1,\"kind\":\"request\"";
   auto str = [&](const char* key, const std::string& value) {
     out += ",\"";
@@ -207,17 +208,23 @@ std::string QueryLogRecordJson(const QueryLogRecord& r) {
   str("outcome", r.outcome);
   str("status", r.status);
   str("fail_reason", r.fail_reason);
-  ms("admission_ms", r.admission_ms);
-  ms("queue_ms", r.queue_ms);
-  ms("exec_ms", r.exec_ms);
-  ms("total_ms", r.total_ms);
+  ms("admission_ms", r.admission_seconds * 1e3);
+  ms("queue_ms", r.queue_seconds * 1e3);
+  ms("exec_ms", r.exec_seconds * 1e3);
+  ms("total_ms", r.total_seconds * 1e3);
   num("est_peak_bytes", r.est_peak_bytes);
   num("peak_bytes", r.peak_bytes);
-  out += StrFormat(",\"peak_qerror\":%.4f", r.peak_qerror);
+  double peak_qerror = 0;
+  if (r.est_peak_bytes > 0 && r.peak_bytes > 0) {
+    const double est = static_cast<double>(r.est_peak_bytes);
+    const double actual = static_cast<double>(r.peak_bytes);
+    peak_qerror = std::max(est / actual, actual / est);
+  }
+  out += StrFormat(",\"peak_qerror\":%.4f", peak_qerror);
   num("output_tuples", r.output_tuples);
   num("tuples_shuffled", r.tuples_shuffled);
-  num("suspends", r.suspends);
-  num("watchdog_trips", r.watchdog_trips);
+  num("suspends", r.lifecycle.suspends);
+  num("watchdog_trips", r.lifecycle.watchdog_trips);
   boolean("slow", r.slow);
   num("dispatch_seq", r.dispatch_seq);
   out += "}";
@@ -232,14 +239,11 @@ QueryLog::QueryLog(const std::string& path) {
   }
 }
 
-void QueryLog::Append(const QueryLogRecord& record) {
-  AppendLine(QueryLogRecordJson(record));
-}
-
-void QueryLog::AppendLine(const std::string& json_line) {
+void QueryLog::Append(const RequestRecord& record) {
+  const std::string line = QueryLogJson(record);
   std::lock_guard<std::mutex> lock(mu_);
   if (!ok_) return;
-  out_ << json_line << '\n';
+  out_ << line << '\n';
   out_.flush();
   ++lines_;
 }

@@ -18,10 +18,10 @@ namespace ptp {
 class Catalog;
 
 /// Fleet telemetry plane for the serving layer (docs/OBSERVABILITY.md,
-/// "Fleet telemetry"): per-request samples aggregate into latency
-/// histograms keyed by phase × cost class plus outcome counters
-/// (ServerTelemetry), every finished request appends one structured JSONL
-/// record (QueryLog), and the server's request path stitches
+/// "Fleet telemetry"): one RequestRecord per resolved request aggregates
+/// into latency histograms keyed by phase × cost class plus outcome
+/// counters (ServerTelemetry) and appends one structured JSONL line
+/// (QueryLog), and the server's request path stitches
 /// submit→queue→execute spans into a TraceSession via flow events using
 /// the track numbering below. All of it is observational: arming
 /// telemetry changes no query output, counter, or scheduling decision.
@@ -48,28 +48,46 @@ enum class RequestPhase {
 inline constexpr int kNumRequestPhases = 4;
 std::string_view RequestPhaseName(RequestPhase phase);
 
-/// One resolved request, as the server's FinishRequest reports it.
-struct RequestSample {
-  /// Terminal outcome vocabulary (also the query log's `outcome` field):
-  /// "ok", "invalid" (parse/validation reject), "rejected" (can never fit
-  /// the pool), "shed" (queue-depth refusal), "cancelled",
-  /// "deadline_exceeded", "resource_exhausted" (budget kill),
-  /// "unavailable" (retries exhausted / shutdown), "failed" (other
-  /// graceful FAILs).
-  std::string outcome;
-  bool small = true;
-  bool cache_hit = false;
+/// One resolved request, built once by the server's FinishRequest and read
+/// by both the fleet aggregate (ServerTelemetry::Record) and the query log
+/// (QueryLog::Append, schema v1; docs/OBSERVABILITY.md). Every log field
+/// is present in every line so downstream parsers never branch on
+/// optionality; string fields are "" and numerics 0 when not applicable.
+struct RequestRecord {
+  std::string id;
+  /// Log-only fields, filled only when a query log is armed.
+  std::string session;     // id prefix before ".q"
+  std::string query_hash;  // 16 hex chars, FNV-1a of the normalized text
+  std::string catalog;     // CatalogFingerprint, "none" without a catalog
+  /// "small"/"large"; "" when the plan never prepared, which the fleet
+  /// aggregate counts as small.
+  std::string cost_class;
+  std::string strategy;
   bool bloom = false;
-  /// False for requests resolved at submit (never dispatched): their
-  /// queue/execution phases are not recorded.
-  bool dispatched = false;
-  /// total_seconds >= ServerOptions::slow_query_seconds.
-  bool slow = false;
+  bool cache_hit = false;
+  /// Terminal outcome vocabulary: "ok", "invalid" (parse/validation
+  /// reject), "rejected" (can never fit the pool), "shed" (queue-depth
+  /// refusal), "cancelled", "deadline_exceeded", "resource_exhausted"
+  /// (budget kill), "unavailable" (retries exhausted / shutdown), "failed"
+  /// (other graceful FAILs).
+  std::string outcome;
+  std::string status;  // StatusCodeToString of the response status
+  std::string fail_reason;
+  /// The RequestPhase latencies; the log renders them in milliseconds.
   double admission_seconds = 0;
   double queue_seconds = 0;
   double exec_seconds = 0;
   double total_seconds = 0;
+  uint64_t est_peak_bytes = 0;
+  uint64_t peak_bytes = 0;
+  uint64_t output_tuples = 0;
+  uint64_t tuples_shuffled = 0;
   LifecycleStats lifecycle;
+  /// total_seconds >= ServerOptions::slow_query_seconds.
+  bool slow = false;
+  /// 0 for requests resolved at submit (never dispatched): their
+  /// queue/execution phases are not recorded.
+  uint64_t dispatch_seq = 0;
 };
 
 /// Maps a response status + failure detail onto the outcome vocabulary.
@@ -83,7 +101,7 @@ std::string OutcomeName(StatusCode code, bool shed, bool never_fits);
 /// the submit path concurrently; renderers may run at any time.
 class ServerTelemetry {
  public:
-  void Record(const RequestSample& sample);
+  void Record(const RequestRecord& record);
 
   /// Appends the fleet families in Prometheus text exposition format:
   /// ptp_request_latency_seconds{phase,class} histograms and the
@@ -105,40 +123,11 @@ class ServerTelemetry {
   std::map<std::string, uint64_t, std::less<>> counters_;
 };
 
-/// One query-log record (schema v1; docs/OBSERVABILITY.md). Every field
-/// is present in every record so downstream parsers never branch on
-/// optionality; string fields are "" and numerics 0 when not applicable.
-struct QueryLogRecord {
-  std::string id;
-  std::string session;        // id prefix before ".q"
-  std::string query_hash;     // 16 hex chars, FNV-1a of the normalized text
-  std::string catalog;        // CatalogFingerprint, "none" without a catalog
-  std::string cost_class;     // "small"/"large", "" when never classified
-  std::string strategy;
-  bool bloom = false;
-  bool cache_hit = false;
-  std::string outcome;        // RequestSample::outcome vocabulary
-  std::string status;         // StatusCodeToString of the response status
-  std::string fail_reason;
-  double admission_ms = 0;
-  double queue_ms = 0;
-  double exec_ms = 0;
-  double total_ms = 0;
-  uint64_t est_peak_bytes = 0;
-  uint64_t peak_bytes = 0;
-  /// max(est/actual, actual/est) when both peaks are nonzero, else 0 —
-  /// the admission estimate's q-error against the measured run.
-  double peak_qerror = 0;
-  uint64_t output_tuples = 0;
-  uint64_t tuples_shuffled = 0;
-  uint64_t suspends = 0;
-  uint64_t watchdog_trips = 0;
-  bool slow = false;
-  uint64_t dispatch_seq = 0;
-};
-
-/// {"v":1,"kind":"request",...} — one line, no trailing newline.
-std::string QueryLogRecordJson(const QueryLogRecord& record);
+/// {"v":1,"kind":"request",...} — one line, no trailing newline. Adds the
+/// derived peak_qerror: max(est/actual, actual/est) when both peaks are
+/// nonzero, else 0 — the admission estimate's q-error against the
+/// measured run.
+std::string QueryLogJson(const RequestRecord& record);
 
 /// Append-only JSONL sink (ServerOptions::query_log_path). The file is
 /// truncated at construction; Append serializes writers and flushes per
@@ -151,11 +140,7 @@ class QueryLog {
   /// server logs one warning and serves on — telemetry never fails a
   /// query).
   bool ok() const { return ok_; }
-  void Append(const QueryLogRecord& record);
-  /// Raw line escape hatch for non-request rows (the closed-loop bench's
-  /// isolation-audit records, kind "audit"). `json_line` must be one
-  /// complete JSON object without a trailing newline.
-  void AppendLine(const std::string& json_line);
+  void Append(const RequestRecord& record);
   uint64_t lines_written() const;
 
  private:
